@@ -1064,7 +1064,10 @@ let report_cmd =
                    [ ("hits", Mips_obs.Json.Int c.Mips_artifact.hits);
                      ("misses", Mips_obs.Json.Int c.Mips_artifact.misses);
                      ("corrupt", Mips_obs.Json.Int c.Mips_artifact.corrupt) ]
-               ) ])
+               );
+               ( "engine",
+                 Mips_machine.Cpu.coverage_to_json (Mips_artifact.coverage ()) )
+             ])
   in
   Cmd.v
     (Cmd.info "report" ~exits:Exit_code.infos
@@ -1096,8 +1099,10 @@ let report_cmd =
           & opt (some string) None
           & info [ "stats-json" ] ~docv:"FILE"
               ~doc:
-                "Write supervision outcomes, failures and artifact-cache \
-                 counters as JSON to $(docv) ($(b,-) for standard output).")
+                "Write supervision outcomes, failures, artifact-cache \
+                 counters and the simulations' engine coverage (words run \
+                 inside jit traces, words stepped by fallback reason) as \
+                 JSON to $(docv) ($(b,-) for standard output).")
       $ Arg.(
           value & flag
           & info [ "hotspots" ]

@@ -6,6 +6,11 @@
     the paper's evaluation.  The bench harness and the [mipsc report]
     command both use these. *)
 
+val prepare_jobs : ?include_heavy:bool -> unit -> (string * (unit -> unit)) list
+(** The warm-up's jobs, labelled ["sim:<config>:<entry>"] (one corpus
+    simulation on the artifact cache's default engine), ["level:..."],
+    ["os:..."] and ["asm:..."] (compilations). *)
+
 val prepare : ?jobs:int -> ?include_heavy:bool -> unit -> unit
 (** Warm the artifact cache with every compilation and simulation the
     tables need, fanned out over [jobs] worker domains (default: the

@@ -20,15 +20,22 @@
    The reference interpreter remains the oracle: a trace must leave every
    architecturally visible artifact — registers, memory, PC chain, EPCs,
    and the full Stats record including the float weighted-cycle cell —
-   bit-identical to the same words executed by Cpu.step.  Two consequences
-   shape the design:
+   bit-identical to the same words executed by Cpu.step.  Three
+   consequences shape the design:
 
-   - Traces exist only for the default machine (no interlocks, word
-     addressed) running in kernel mode with mapping off.  There every word
-     weighs exactly 1.0 cycle, so batched statistics stay bit-exact
-     (integer-valued double sums are associative), and fetch translation is
-     the identity, so straight-line execution is really straight-line.
-     Every other configuration or machine state falls back to step_fast.
+   - Traces exist for the delayed-load machines, word or byte addressed,
+     running in kernel mode with mapping off, where fetch and data
+     translation are the identity and straight-line execution is really
+     straight-line.  Interlocked configurations, user mode, mapped
+     execution and armed observers or fault plans fall back to step_fast;
+     the loop counts every word it steps by the reason (Cpu.coverage).
+   - Statistics are batched per block.  On the word machine every word
+     weighs exactly 1.0 cycle, so the weighted-cycle cell only ever sums
+     integer-valued doubles and one scaled add per block is bit-exact.  On
+     the byte machine a memory-busy word weighs 1 + overhead, the cell is
+     no longer integral, and float addition is not associative: there a
+     block replays its per-word weights in program order, once per
+     execution.
    - A fault inside a trace must dispatch exactly as if the words had run
      one by one.  Fragments record their body index in [jit_k] before any
      faultable compute; the recovery path then applies the statistics of
@@ -56,17 +63,20 @@ type tword = { tw_e : Predecode.entry; tw_note : Note.t }
 
 (* A word the trace body may contain: no branch piece, no trap, nothing
    that could change privilege/mapping mid-trace (Wr_special, Rfe), and no
-   byte-sized access (always-faulting on the word machine). *)
-let pieces_ok (e : Predecode.entry) =
+   byte-sized access on the word machine (where it always faults). *)
+let pieces_ok ~byte (e : Predecode.entry) =
   (not e.Predecode.is_trap)
   && (match e.Predecode.alu with
      | Some (Alu.Wr_special _ | Alu.Rfe) -> false
      | Some _ | None -> true)
-  && (match e.Predecode.mem with
+  && (byte
+     ||
+     match e.Predecode.mem with
      | Some (Mem.Load (Mem.W8, _, _) | Mem.Store (Mem.W8, _, _)) -> false
      | Some _ | None -> true)
 
-let plain_ok (e : Predecode.entry) = e.Predecode.branch = None && pieces_ok e
+let plain_ok ~byte (e : Predecode.entry) =
+  e.Predecode.branch = None && pieces_ok ~byte e
 
 (* Control role of a body word.  [CJump (tgt, link)] is an inlined
    unconditional direct jump (link register, -1 for plain [Jump]);
@@ -109,13 +119,14 @@ exception Guard_exit
    without one (sequential context there by construction). *)
 let scan t entry_pc =
   let imem = t.imem and notes = t.notes in
-  let limit = t.cfg.imem_words in
+  let byte = t.cfg.byte_addressed in
+  let limit = Array.length t.jit_code in
   let rec go pc i acc =
     if i >= max_trace_words || pc >= limit then (List.rev acc, None, pc)
     else
       let e = Predecode.lower imem.(pc) in
       if Predecode.ends_block e then
-        if e.Predecode.is_trap || not (pieces_ok e) then (List.rev acc, None, pc)
+        if e.Predecode.is_trap || not (pieces_ok ~byte e) then (List.rev acc, None, pc)
         else begin
           let delay =
             match Predecode.branch_delay e with Some d -> d | None -> 0
@@ -128,7 +139,7 @@ let scan t entry_pc =
               if spc >= limit then None
               else
                 let se = Predecode.lower imem.(spc) in
-                if plain_ok se then slots (j + 1) (spc :: acc') else None
+                if plain_ok ~byte se then slots (j + 1) (spc :: acc') else None
           in
           match slots 1 [] with
           | None -> (List.rev acc, None, pc)
@@ -207,7 +218,7 @@ let scan t entry_pc =
                   in
                   (List.rev acc, Some ({ tw_e = e; tw_note = notes.(pc) }, term_slots), pc))
         end
-      else if plain_ok e then
+      else if plain_ok ~byte e then
         go (pc + 1) (i + 1)
           ({ sw = { tw_e = e; tw_note = notes.(pc) };
              sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2; sw_ctl = CNone }
@@ -222,7 +233,7 @@ let scan t entry_pc =
    [Cpu.compile_alu] and [Cpu.compile_mem] assemble their closures out of
    nested operand closures — with the fragment's own call that is three or
    four indirect calls per word.  Inside a trace the machine state is
-   pinned (kernel mode, mapping off, word addressing), so the common
+   pinned (kernel mode, mapping off, fixed addressing mode), so the common
    shapes flatten into a single closure over direct register-file reads:
    operands become a compile-time (is-register, payload) pair tested with
    one predictable conditional, address translation is the identity, and
@@ -332,7 +343,7 @@ let flat_ax e =
   | None -> (AXnone, true)
   | Some a -> flat_alu a
 
-(* flat effective address for the pinned state: translation is the
+(* flat effective address for the pinned word machine: translation is the
    identity, the bounds check is one comparison raising the reference
    engine's exact fault (Illegal detail 1).  The returned physical index is
    in range by construction, which is what lets the fragment generators
@@ -553,15 +564,53 @@ let flat_store_frag ~k ~dmem_words src addr =
             (Word32.add (Array.unsafe_get t.regs b)
                (Word32.shift_left (Array.unsafe_get t.regs i) n)))
 
+(* The byte machine's flat address, mirroring [Cpu.resolve] under the
+   pinned state: the byte address's word part is the physical word,
+   bounds-checked first (Illegal detail 1); a word access must then be
+   aligned (Illegal detail 2).  Word accesses yield the physical word,
+   byte accesses [(phys lsl 2) lor lane] — the byte address itself, since
+   a physical word in range is nonnegative. *)
+let flat_addr_b ~dmem_words ~width a =
+  let ea = compile_addr a in
+  match width with
+  | Mem.W32 ->
+      fun t ->
+        let addr = ea t in
+        let p = addr asr 2 in
+        if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
+        if addr land 3 <> 0 then raise (Fault (Cause.Illegal, 2));
+        p
+  | Mem.W8 ->
+      fun t ->
+        let addr = ea t in
+        let p = addr asr 2 in
+        if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
+        addr
+
 let flat_mx cfg e =
+  let dmem_words = cfg.dmem_words in
   match e.Predecode.mem with
   | None -> MXnone
   | Some (Mem.Limm (c, d)) -> MXlimm (Reg.to_int d, c)
-  | Some (Mem.Load (Mem.W32, a, d)) when not cfg.byte_addressed ->
-      MXload_w (Reg.to_int d, flat_addr_w ~dmem_words:cfg.dmem_words a)
-  | Some (Mem.Store (Mem.W32, s, a)) when not cfg.byte_addressed ->
-      MXstore_w (Reg.to_int s, flat_addr_w ~dmem_words:cfg.dmem_words a)
+  | Some (Mem.Load (width, a, d)) when cfg.byte_addressed -> (
+      let fp = flat_addr_b ~dmem_words ~width a and d = Reg.to_int d in
+      match width with Mem.W32 -> MXload_w (d, fp) | Mem.W8 -> MXload_b (d, fp))
+  | Some (Mem.Store (width, s, a)) when cfg.byte_addressed -> (
+      let fp = flat_addr_b ~dmem_words ~width a and s = Reg.to_int s in
+      match width with Mem.W32 -> MXstore_w (s, fp) | Mem.W8 -> MXstore_b (s, fp))
+  | Some (Mem.Load (Mem.W32, a, d)) ->
+      MXload_w (Reg.to_int d, flat_addr_w ~dmem_words a)
+  | Some (Mem.Store (Mem.W32, s, a)) ->
+      MXstore_w (Reg.to_int s, flat_addr_w ~dmem_words a)
   | m -> compile_mem cfg m
+
+(* Byte-lane data accesses at a flat byte address ([flat_addr_b], W8). *)
+let[@inline] load_byte t a =
+  Word32.get_byte (Array.unsafe_get t.dmem (a lsr 2)) (a land 3)
+
+let[@inline] store_byte t a v =
+  let p = a lsr 2 in
+  Array.unsafe_set t.dmem p (Word32.set_byte (Array.unsafe_get t.dmem p) (a land 3) v)
 
 let flat_bx e =
   match e.Predecode.branch with
@@ -587,6 +636,12 @@ let flat_bx e =
 type pend = PDyn | PNone | PKnown of int
 
 let pend_code = function PDyn -> -2 | PNone -> -1 | PKnown d -> d
+
+(* The latch state a word leaves behind: its own load, if any. *)
+let pend_of_mx = function
+  | MXload_w (d, _) | MXload_b (d, _) -> PKnown d
+  | _ -> PNone
+
 let ignore_t (_ : Cpu.t) = ()
 
 (* The fragment committing the incoming latch at this word's commit point.
@@ -621,7 +676,7 @@ let pend_frag pend_in mx ax =
 
 let gen_plain ~k ~pend_in ~pure mx ax =
   let pf = pend_frag pend_in mx ax in
-  let pend_out = match mx with MXload_w (d, _) -> PKnown d | _ -> PNone in
+  let pend_out = pend_of_mx mx in
   let frag =
     match (mx, ax) with
     | MXnone, AXnone -> pf (* a nop's only work is the incoming latch *)
@@ -683,7 +738,37 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           Array.unsafe_set t.dmem a sv;
           pf t;
           Array.unsafe_set t.regs da v
-    | _ -> assert false (* byte/special shapes excluded by [pieces_ok] *)
+    | MXload_b (_, fp), AXnone ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          pf t;
+          t.jit_pv <- load_byte t a
+    | MXload_b (_, fp), AXreg (da, f) ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          let v = f t in
+          pf t;
+          Array.unsafe_set t.regs da v;
+          t.jit_pv <- load_byte t a
+    | MXstore_b (src, fp), AXnone ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          let sv = Array.unsafe_get t.regs src in
+          store_byte t a sv;
+          pf t
+    | MXstore_b (src, fp), AXreg (da, f) ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          let sv = Array.unsafe_get t.regs src in
+          let v = f t in
+          store_byte t a sv;
+          pf t;
+          Array.unsafe_set t.regs da v
+    | _ -> assert false (* special shapes excluded by [pieces_ok] *)
   in
   (frag, pend_out)
 
@@ -719,16 +804,15 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
           t.sc_target <- tgt),
         PNone )
   | _ ->
-      let pend_out = match mx with MXload_w (d, _) -> PKnown d | _ -> PNone in
+      let pend_out = pend_of_mx mx in
       ( (fun t ->
           t.jit_k <- k;
           (match mx with
           | MXnone | MXlimm _ -> ()
-          | MXload_w (_, fp) -> t.sc_a <- fp t
-          | MXstore_w (s, fp) ->
+          | MXload_w (_, fp) | MXload_b (_, fp) -> t.sc_a <- fp t
+          | MXstore_w (s, fp) | MXstore_b (s, fp) ->
               t.sc_a <- fp t;
-              t.sc_b <- t.regs.(s)
-          | MXload_b _ | MXstore_b _ -> assert false);
+              t.sc_b <- t.regs.(s));
           (match ax with
           | AXnone -> ()
           | AXreg (_, f) -> t.sc_v <- f t
@@ -746,12 +830,14 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
           | BXnone | BXtrap _ -> assert false);
           (match mx with
           | MXstore_w _ -> t.dmem.(t.sc_a) <- t.sc_b
+          | MXstore_b _ -> store_byte t t.sc_a t.sc_b
           | _ -> ());
           pf t;
           (match ax with AXreg (d, _) -> t.regs.(d) <- t.sc_v | _ -> ());
           (match mx with
           | MXlimm (d, c) -> t.regs.(d) <- c
           | MXload_w (_, _) -> t.jit_pv <- t.dmem.(t.sc_a)
+          | MXload_b (_, _) -> t.jit_pv <- load_byte t t.sc_a
           | _ -> ());
           (match bx with
           | BXjal (_, link) -> t.regs.(link) <- pc + 2
@@ -791,10 +877,20 @@ let gen_cmp_branch ~pend_in d f test tgt mx ax =
    [jit_pv] is still written for the recovery path, and the consumer's
    operands are read before the commit so it still sees the architecturally
    stale register, exactly as the delayed-load machine specifies. *)
-let gen_load_use ~k ~pend_in d fp da f mx ax =
+let gen_load_use ~k ~pend_in ~byte d fp da f mx ax =
   let pf = pend_frag pend_in mx ax in
   let dead = da = d in
-  fun t ->
+  if byte then fun t ->
+    t.jit_k <- k;
+    let a = fp t in
+    pf t;
+    let v = load_byte t a in
+    t.jit_pv <- v;
+    t.jit_k <- k + 1;
+    let v2 = f t in
+    if not dead then t.regs.(d) <- v;
+    t.regs.(da) <- v2
+  else fun t ->
     t.jit_k <- k;
     let a = fp t in
     pf t;
@@ -807,12 +903,18 @@ let gen_load_use ~k ~pend_in d fp da f mx ax =
 
 (* ------------------------------------------------------------------ *)
 (* Block-level statistics, applied once per trace execution (or per loop
-   iteration).  All sums are over integer-valued doubles far below 2^53,
-   so the batched float add is bit-identical to the word-by-word one. *)
+   iteration).  The integer counters are plain sums.  The weighted-cycle
+   cell is a float: where every word weighs 1.0 it only ever holds
+   integer-valued doubles far below 2^53, so one batched add is
+   bit-identical to the word-by-word ones; elsewhere [b_wts] replays the
+   words' weights in program order. *)
+
+let unit_weights (cfg : config) =
+  (not cfg.byte_addressed) || cfg.fetch_overhead_pct = 0.
 
 type batch = {
   b_len : int;
-  b_w : float;  (* = float b_len; every eligible word weighs exactly 1. *)
+  b_wts : float array;  (* per-word weights; empty when all are 1.0 *)
   b_taken : int;  (* inlined unconditional jumps taken per execution *)
   b_busy : int;
   b_free : int;
@@ -832,7 +934,7 @@ type batch = {
   b_bc_s : int;
 }
 
-let make_batch (words : tword array) ~taken =
+let make_batch cfg (words : tword array) ~taken =
   let len = ref 0
   and busy = ref 0
   and free = ref 0
@@ -872,7 +974,12 @@ let make_batch (words : tword array) ~taken =
     words;
   {
     b_len = !len;
-    b_w = float_of_int !len;
+    b_wts =
+      (if unit_weights cfg then [||]
+       else
+         Array.map
+           (fun w -> cycle_weight cfg ~busy:w.tw_e.Predecode.refs_memory)
+           words);
     b_taken = taken;
     b_busy = !busy;
     b_free = !free;
@@ -892,16 +999,30 @@ let make_batch (words : tword array) ~taken =
     b_bc_s = cls.(7);
   }
 
-(* [apply_batch_n] applies [n] executions of the block in one pass.  The
-   only float cell sums integer-valued doubles far below 2^53, so adding
-   [float (n * b_len)] once is bit-identical to [n] separate additions. *)
+(* [n] executions' worth of weighted cycles: one add of [float (n * b_len)]
+   under unit weights, else every word's weight, in order, [n] times. *)
+let add_weighted s b n =
+  let wts = b.b_wts in
+  if Array.length wts = 0 then
+    s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. float_of_int (n * b.b_len)
+  else begin
+    let acc = ref s.Stats.weighted.(0) in
+    for _ = 1 to n do
+      for j = 0 to Array.length wts - 1 do
+        acc := !acc +. Array.unsafe_get wts j
+      done
+    done;
+    s.Stats.weighted.(0) <- !acc
+  end
+
+(* [apply_batch_n] applies [n] executions of the block in one pass. *)
 let apply_batch_n t b n =
   let s = t.stats in
   s.Stats.cycles <- s.Stats.cycles + (n * b.b_len);
   s.Stats.words <- s.Stats.words + (n * b.b_len);
   s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + (n * b.b_busy);
   s.Stats.free_cycles <- s.Stats.free_cycles + (n * b.b_free);
-  s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. float_of_int (n * b.b_len);
+  add_weighted s b n;
   if b.b_taken > 0 then
     s.Stats.branches_taken <- s.Stats.branches_taken + (n * b.b_taken);
   s.Stats.nops <- s.Stats.nops + (n * b.b_nops);
@@ -924,13 +1045,14 @@ let apply_batch_n t b n =
   bc.Stats.loads <- bc.Stats.loads + (n * b.b_bc_l);
   bc.Stats.stores <- bc.Stats.stores + (n * b.b_bc_s)
 
-(* Specialized batch applier: most traces have no nops, no packed words,
-   no synthetic refs and no char/byte-classed refs, so the common case
-   touches nine statistics cells instead of twenty-two.  Decided once at
-   compile time per batch. *)
+(* Specialized batch applier: most word-machine traces have no nops, no
+   packed words, no synthetic refs and no char/byte-classed refs, so the
+   common case touches nine statistics cells instead of twenty-two.
+   Decided once at compile time per batch. *)
 let batch_applier b =
   if
-    b.b_nops = 0 && b.b_packed = 0 && b.b_syn = 0 && b.b_taken = 0
+    Array.length b.b_wts = 0
+    && b.b_nops = 0 && b.b_packed = 0 && b.b_syn = 0 && b.b_taken = 0
     && b.b_wc_l = 0 && b.b_wc_s = 0 && b.b_by_l = 0 && b.b_by_s = 0
     && b.b_bc_l = 0 && b.b_bc_s = 0
   then (
@@ -961,7 +1083,8 @@ let count_word t { tw_e = e; tw_note = note } =
   if e.Predecode.refs_memory then
     s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1
   else s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-  s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
+  s.Stats.weighted.(0) <-
+    s.Stats.weighted.(0) +. cycle_weight t.cfg ~busy:e.Predecode.refs_memory;
   if e.Predecode.is_nop then s.Stats.nops <- s.Stats.nops + 1;
   if e.Predecode.packed then s.Stats.packed_words <- s.Stats.packed_words + 1;
   s.Stats.alu_pieces <- s.Stats.alu_pieces + e.Predecode.alu_pieces;
@@ -1095,13 +1218,16 @@ let compile t entry_pc =
              && next_plain (!k + 1)
           then
             match mx with
-            | MXload_w (d, fp) -> (
+            | MXload_w (d, fp) | MXload_b (d, fp) -> (
                 let ne = words.(!k + 1).tw_e in
                 let nmx = flat_mx t.cfg ne in
                 let nax, _ = flat_ax ne in
                 match (nmx, nax) with
                 | MXnone, AXreg (da, f) ->
-                    let frag = gen_load_use ~k:!k ~pend_in:!pend d fp da f mx ax in
+                    let byte = match mx with MXload_b _ -> true | _ -> false in
+                    let frag =
+                      gen_load_use ~k:!k ~pend_in:!pend ~byte d fp da f mx ax
+                    in
                     pend_at.(!k + 1) <- pend_code (PKnown d);
                     frag_list := frag :: !frag_list;
                     pend := PNone;
@@ -1115,31 +1241,52 @@ let compile t entry_pc =
           (* With no incoming latch, single-piece words compile to one
              direct closure (or to nothing at all) instead of the generic
              compose-of-pieces shape. *)
+          let kk = !k in
           let direct =
             if !pend <> PNone then DNo
             else
               match (mx, e.Predecode.alu) with
               | MXnone, None -> DDrop
-              | MXnone, Some a -> flat_alu_frag ~k:!k a
+              | MXnone, Some a -> flat_alu_frag ~k:kk a
               | MXlimm (dm, c), None ->
                   DFrag (fun t -> Array.unsafe_set t.regs dm c)
+              | MXload_w (_, fp), None when t.cfg.byte_addressed ->
+                  DFrag
+                    (fun t ->
+                      t.jit_k <- kk;
+                      t.jit_pv <- Array.unsafe_get t.dmem (fp t))
+              | MXstore_w (s, fp), None when t.cfg.byte_addressed ->
+                  DFrag
+                    (fun t ->
+                      t.jit_k <- kk;
+                      let a = fp t in
+                      Array.unsafe_set t.dmem a (Array.unsafe_get t.regs s))
+              | MXload_b (_, fp), None ->
+                  DFrag
+                    (fun t ->
+                      t.jit_k <- kk;
+                      t.jit_pv <- load_byte t (fp t))
+              | MXstore_b (s, fp), None ->
+                  DFrag
+                    (fun t ->
+                      t.jit_k <- kk;
+                      let a = fp t in
+                      store_byte t a (Array.unsafe_get t.regs s))
               | MXload_w (_, _), None -> (
                   match e.Predecode.mem with
                   | Some (Mem.Load (Mem.W32, addr, _)) ->
-                      flat_load_frag ~k:!k ~dmem_words:t.cfg.dmem_words addr
+                      flat_load_frag ~k:kk ~dmem_words:t.cfg.dmem_words addr
                   | _ -> DNo)
               | MXstore_w (_, _), None -> (
                   match e.Predecode.mem with
                   | Some (Mem.Store (Mem.W32, s, addr)) ->
-                      flat_store_frag ~k:!k ~dmem_words:t.cfg.dmem_words s addr
+                      flat_store_frag ~k:kk ~dmem_words:t.cfg.dmem_words s addr
                   | _ -> DNo)
               | _ -> DNo
           in
           let frag0, p' =
             match direct with
-            | DFrag f ->
-                (Some f,
-                 match mx with MXload_w (d, _) -> PKnown d | _ -> PNone)
+            | DFrag f -> (Some f, pend_of_mx mx)
             | DDrop -> (None, PNone)
             | DNo ->
                 let pure =
@@ -1172,7 +1319,7 @@ let compile t entry_pc =
                  cover words 0..k and the taken branch itself. *)
               let gid = !gcount in
               let gb =
-                make_batch (Array.sub words 0 (!k + 1))
+                make_batch t.cfg (Array.sub words 0 (!k + 1))
                   ~taken:(tb.(!k + 1) + 1)
               in
               guards :=
@@ -1209,7 +1356,7 @@ let compile t entry_pc =
     done;
     let frags = Array.of_list (List.rev !frag_list) in
     let nf = Array.length frags in
-    let batch = make_batch words ~taken:tb.(len) in
+    let batch = make_batch t.cfg words ~taken:tb.(len) in
     let apply_main = batch_applier batch in
     let final_pend = !pend in
     let mat_pend =
@@ -1473,57 +1620,75 @@ let compile t entry_pc =
    each single step costs 1 fuel (including a dispatching one), a trace
    costs its word count, and a trace that faults after [k] completed words
    costs [k] plus 1 for the dispatch.  Written with recursion and scalar
-   state only — the steady-state loop allocates nothing. *)
+   state only — the steady-state loop allocates nothing.  Every word is
+   counted in the machine's coverage: inside a trace, or stepped under the
+   first reason ([Cpu.fallback_reasons]) that kept a trace from running. *)
+
+let fb_config = 0
+let fb_mode = 1
+let fb_shadow = 2
+let fb_armed = 3
+let fb_cold = 4
+let fb_refused = 5
+let fb_fuel = 6
 
 let run ?(fuel = 10_000_000) t handler =
   jit_arm t;
-  let eligible = (not t.cfg.interlock) && not t.cfg.byte_addressed in
+  let eligible = not t.cfg.interlock in
+  let cov = t.jit_cov in
   let rec loop fuel =
     if fuel <= 0 then begin
       t.stats.Stats.fuel_exhausted <- true;
       false
     end
+    else if not eligible then step_once fuel fb_config
     else if
-      eligible
-      && not (t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line
-             || t.prof_on)
-      && (match (t.sr.Surprise.priv, t.sr.Surprise.map_enable) with
-         | Surprise.Kernel, false -> true
-         | _ -> false)
-      && t.p0 >= 0
-      && t.p0 < t.cfg.imem_words
-    then begin
+      t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line
+      || t.prof_on
+    then step_once fuel fb_armed
+    else if
+      match (t.sr.Surprise.priv, t.sr.Surprise.map_enable) with
+      | Surprise.Kernel, false -> false
+      | _ -> true
+    then step_once fuel fb_mode
+    else begin
       let pc = t.p0 in
-      if not (t.p1 = pc + 1 && t.p2 = pc + 2) then
+      if pc < 0 || pc >= Array.length t.jit_code then step_once fuel fb_cold
+      else if not (t.p1 = pc + 1 && t.p2 = pc + 2) then
         (* inside a taken branch's delay shadow the chain is not
            sequential: the words after [pc] in imem are not the words
            about to execute, so no straight-line trace applies *)
-        step_once fuel
+        step_once fuel fb_shadow
       else
       let f = t.jit_code.(pc) in
       if f != jit_stale then begin
-        let len = t.jit_len.(pc) in
-        if fuel >= len then
-          match f t fuel with
-          | fuel' -> chain fuel'
-          | exception Fault (cause, detail) ->
-              let consumed = t.jit_k in
-              (match dispatch t cause detail ~epcs:(t.p0, t.p1, t.p2) with
-              | Dispatched c -> dispatched c (fuel - consumed)
-              | Stepped -> assert false)
-        else step_once fuel
+        if fuel >= t.jit_len.(pc) then run_trace f fuel
+        else step_once fuel fb_fuel
       end
       else begin
-        let c = t.jit_counts.(pc) + 1 in
-        if c >= hot_threshold then begin
-          if compile t pc then t.jit_counts.(pc) <- 0
-          else t.jit_counts.(pc) <- min_int (* ineligible: never retry *)
+        let c = t.jit_counts.(pc) in
+        if c < 0 then step_once fuel fb_refused
+        else begin
+          if c + 1 >= hot_threshold then begin
+            if compile t pc then t.jit_counts.(pc) <- 0
+            else t.jit_counts.(pc) <- min_int (* ineligible: never retry *)
+          end
+          else t.jit_counts.(pc) <- c + 1;
+          step_once fuel fb_cold
         end
-        else t.jit_counts.(pc) <- c;
-        step_once fuel
       end
     end
-    else step_once fuel
+  and run_trace f fuel =
+    match f t fuel with
+    | fuel' ->
+        cov.trace_words <- cov.trace_words + (fuel - fuel');
+        chain fuel'
+    | exception Fault (cause, detail) -> (
+        let consumed = t.jit_k in
+        cov.trace_words <- cov.trace_words + consumed;
+        match dispatch t cause detail ~epcs:(t.p0, t.p1, t.p2) with
+        | Dispatched c -> dispatched c (fuel - consumed)
+        | Stepped -> assert false)
   and chain fuel =
     (* Trace-to-trace fast path.  A trace cannot flip the mode flags or
        the privilege/mapping state ([pieces_ok] excludes Wr_special/Rfe,
@@ -1534,27 +1699,20 @@ let run ?(fuel = 10_000_000) t handler =
     if fuel <= 0 then loop fuel
     else begin
       let pc = t.p0 in
-      if pc >= 0 && pc < t.cfg.imem_words && t.p1 = pc + 1 && t.p2 = pc + 2
+      if pc >= 0 && pc < Array.length t.jit_code && t.p1 = pc + 1
+         && t.p2 = pc + 2
       then begin
         let f = t.jit_code.(pc) in
-        if f != jit_stale then begin
-          let len = t.jit_len.(pc) in
-          if fuel >= len then
-            match f t fuel with
-            | fuel' -> chain fuel'
-            | exception Fault (cause, detail) ->
-                let consumed = t.jit_k in
-                (match dispatch t cause detail ~epcs:(t.p0, t.p1, t.p2) with
-                | Dispatched c -> dispatched c (fuel - consumed)
-                | Stepped -> assert false)
-          else loop fuel
-        end
+        if f != jit_stale && fuel >= t.jit_len.(pc) then run_trace f fuel
         else loop fuel
       end
       else loop fuel
     end
-  and step_once fuel =
-    match Cpu.step_fast t with
+  and step_once fuel why =
+    let w0 = t.stats.Stats.words in
+    let ev = Cpu.step_fast t in
+    cov.stepped.(why) <- cov.stepped.(why) + (t.stats.Stats.words - w0);
+    match ev with
     | Stepped -> loop (fuel - 1)
     | Dispatched cause -> dispatched cause fuel
   and dispatched cause fuel =
@@ -1569,10 +1727,6 @@ let run ?(fuel = 10_000_000) t handler =
   in
   loop fuel
 
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    Cpu.set_jit_runner run
-  end
+(* An unconditional write of the same closure: every domain that calls
+   this sees its own write, so concurrent first users need no flag. *)
+let install () = Cpu.set_jit_runner run

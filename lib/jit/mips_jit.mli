@@ -10,12 +10,14 @@
     fused into single fragments, and a conditional branch back to its own
     entry makes the loop spin inside the closure.
 
-    Traces exist only for the default machine configuration (no interlocks,
-    word-addressed) executing in kernel mode with mapping off; everything
-    else — other configurations, user mode, tracing, profiling, fault
+    Traces exist for the delayed-load machines, word- or byte-addressed,
+    executing in kernel mode with mapping off; everything else — the
+    interlocked configuration, user mode, tracing, profiling, fault
     injection, pending interrupts, traps, and cold code — runs through
     {!Mips_machine.Cpu.step_fast}, so the jit engine degrades to the fast
-    engine rather than diverging.  The trace cache is invalidated through
+    engine rather than diverging.  Each word a run executes is counted in
+    {!Mips_machine.Cpu.coverage}: inside a trace, or stepped with the
+    reason no trace ran.  The trace cache is invalidated through
     the {!Mips_machine.Cpu.write_code} path (self-modifying code) and reset
     on {!Mips_machine.Cpu.load_program}.
 
@@ -27,7 +29,7 @@ val hot_threshold : int
 (** Executions of an entry pc before its block is compiled (32). *)
 
 val max_trace_words : int
-(** Upper bound on a trace's straight-line length in words (64). *)
+(** Upper bound on a trace's straight-line length in words (128). *)
 
 val run :
   ?fuel:int ->
@@ -40,5 +42,5 @@ val run :
 
 val install : unit -> unit
 (** Register {!run} as the [Cpu.Jit] engine
-    ({!Mips_machine.Cpu.set_jit_runner}).  Idempotent; call once at
-    program start before requesting [--engine=jit]. *)
+    ({!Mips_machine.Cpu.set_jit_runner}).  Idempotent and safe to call
+    from any domain; call it before requesting [--engine=jit]. *)

@@ -91,9 +91,13 @@ type t = {
      pc (fuel in, fuel remaining out); [jit_len] its straight-line length in
      words; [jit_counts] the per-PC hotness counters; [jit_cover] maps every
      imem address back to the trace entries whose compiled body includes it,
-     so a code write can invalidate exactly the traces it affects.  [jit_k]
+     so a code write can invalidate exactly the traces it affects.  The
+     tables span imem up to [code_hi], the high-water mark of code written
+     when they were armed; pcs at or above it run on [step_fast].  [jit_k]
      and [jit_pv] are fault-recovery scratch: the body index reached and the
-     in-flight delayed-load value of the trace being executed. *)
+     in-flight delayed-load value of the trace being executed.  [jit_cov]
+     counts which engine ran each word of a jit run. *)
+  mutable code_hi : int;
   mutable jit_on : bool;
   mutable jit_code : (t -> int -> int) array;
   mutable jit_len : int array;
@@ -102,7 +106,14 @@ type t = {
   mutable jit_nospec : Bytes.t;
   mutable jit_k : int;
   mutable jit_pv : int;
+  jit_cov : coverage;
 }
+
+(* Engine coverage of jit runs, kept apart from [Stats] so statistics
+   output does not change with the engine: words executed inside compiled
+   traces, and words stepped one at a time, by the reason no trace ran
+   (indexed like [fallback_reasons]). *)
+and coverage = { mutable trace_words : int; stepped : int array }
 
 and fault_kind =
   | Missing_page of Pagemap.space * int
@@ -110,6 +121,32 @@ and fault_kind =
   | Transient_ref
 
 type event = Stepped | Dispatched of Cause.t
+
+let fallback_reasons =
+  [| "config"; "mode"; "shadow"; "armed"; "cold"; "refused"; "fuel" |]
+
+let coverage_create () =
+  { trace_words = 0; stepped = Array.make (Array.length fallback_reasons) 0 }
+
+let coverage_add a b =
+  a.trace_words <- a.trace_words + b.trace_words;
+  Array.iteri (fun i n -> a.stepped.(i) <- a.stepped.(i) + n) b.stepped
+
+let coverage_to_json c =
+  let stepped = Array.fold_left ( + ) 0 c.stepped in
+  let total = c.trace_words + stepped in
+  Mips_obs.Json.Obj
+    [ ("trace_words", Mips_obs.Json.Int c.trace_words);
+      ("stepped_words", Mips_obs.Json.Int stepped);
+      ( "trace_share",
+        Mips_obs.Json.Float
+          (if total = 0 then 0. else float_of_int c.trace_words /. float_of_int total) );
+      ( "fallback",
+        Mips_obs.Json.Obj
+          (Array.to_list
+             (Array.mapi
+                (fun i r -> (r, Mips_obs.Json.Int c.stepped.(i)))
+                fallback_reasons)) ) ]
 
 (* Fast-engine sentinel: marks an [xcode] slot whose word has not been
    compiled since it last changed.  Recognized with [==]; never called with
@@ -168,6 +205,7 @@ let create ?(config = default_config) () =
     prof_on = false;
     prof = no_profile;
     prof_fetch = -1;
+    code_hi = 0;
     jit_on = false;
     jit_code = [||];
     jit_len = [||];
@@ -176,42 +214,44 @@ let create ?(config = default_config) () =
     jit_nospec = Bytes.empty;
     jit_k = 0;
     jit_pv = 0;
+    jit_cov = coverage_create ();
   }
 
 (* Arm/reset/invalidate the jit trace cache.  [jit_invalidate] is
    conservative by construction: every trace whose body covers address [a]
    is discarded and its entry's hotness counter cleared, so a recompile
    observes the new word.  Note writes invalidate too — traces bake the
-   per-word [notes] into their batched reference accounting. *)
+   per-word [notes] into their batched reference accounting.  The tables
+   cover only the code written so far ([code_hi]), so arming a machine
+   costs in proportion to its program, not to the size of imem. *)
 let jit_arm t =
   if not t.jit_on then begin
-    t.jit_code <- Array.make t.cfg.imem_words jit_stale;
-    t.jit_len <- Array.make t.cfg.imem_words 0;
-    t.jit_counts <- Array.make t.cfg.imem_words 0;
-    t.jit_cover <- Array.make t.cfg.imem_words [];
-    t.jit_nospec <- Bytes.make t.cfg.imem_words '\000';
+    let n = t.code_hi in
+    t.jit_code <- Array.make n jit_stale;
+    t.jit_len <- Array.make n 0;
+    t.jit_counts <- Array.make n 0;
+    t.jit_cover <- Array.make n [];
+    t.jit_nospec <- Bytes.make n '\000';
     t.jit_on <- true
   end
 
 let jit_invalidate t a =
-  match t.jit_cover.(a) with
-  | [] -> ()
-  | entries ->
-      List.iter
-        (fun e ->
-          t.jit_code.(e) <- jit_stale;
-          t.jit_len.(e) <- 0;
-          t.jit_counts.(e) <- 0)
-        entries;
-      t.jit_cover.(a) <- []
+  if a < Array.length t.jit_cover then
+    match t.jit_cover.(a) with
+    | [] -> ()
+    | entries ->
+        List.iter
+          (fun e ->
+            t.jit_code.(e) <- jit_stale;
+            t.jit_len.(e) <- 0;
+            t.jit_counts.(e) <- 0)
+          entries;
+        t.jit_cover.(a) <- []
 
 let jit_reset t =
   if t.jit_on then begin
-    Array.fill t.jit_code 0 (Array.length t.jit_code) jit_stale;
-    Array.fill t.jit_len 0 (Array.length t.jit_len) 0;
-    Array.fill t.jit_counts 0 (Array.length t.jit_counts) 0;
-    Array.fill t.jit_cover 0 (Array.length t.jit_cover) [];
-    Bytes.fill t.jit_nospec 0 (Bytes.length t.jit_nospec) '\000'
+    t.jit_on <- false;
+    jit_arm t
   end
 
 let config t = t.cfg
@@ -240,6 +280,7 @@ let set_profiling t on =
   end
 
 let profile t = if t.prof_on then Some t.prof else None
+let coverage t = t.jit_cov
 
 let set_fault_plan t plan =
   t.plan <- plan;
@@ -270,6 +311,7 @@ let read_code t a = t.imem.(a)
 
 let write_code t a w =
   t.imem.(a) <- w;
+  if a >= t.code_hi then t.code_hi <- a + 1;
   t.xcode.(a) <- stale;
   if t.jit_on then jit_invalidate t a
 let read_note t a = t.notes.(a)
@@ -338,6 +380,7 @@ let faulted_addr t =
 let load_program ?(at = 0) ?(data_at = 0) t (p : Program.t) =
   Array.blit p.code 0 t.imem at (Array.length p.code);
   Array.fill t.xcode at (Array.length p.code) stale;
+  t.code_hi <- max t.code_hi (at + Array.length p.code);
   jit_reset t;
   Array.blit p.notes 0 t.notes at (Array.length p.notes);
   List.iter (fun (a, v) -> t.dmem.(data_at + a) <- Word32.norm v) p.data;
@@ -552,6 +595,10 @@ let dispatch t cause detail ~epcs:(e0, e1, e2) =
   end;
   Dispatched cause
 
+let cycle_weight cfg ~busy =
+  if cfg.byte_addressed && busy then 1. +. (cfg.fetch_overhead_pct /. 100.)
+  else 1.
+
 let count_cycle t word =
   let s = t.stats in
   s.cycles <- s.cycles + 1;
@@ -559,11 +606,7 @@ let count_cycle t word =
   let busy = Word.references_memory word in
   if busy then s.mem_busy_cycles <- s.mem_busy_cycles + 1
   else s.free_cycles <- s.free_cycles + 1;
-  let weight =
-    if t.cfg.byte_addressed && busy then 1. +. (t.cfg.fetch_overhead_pct /. 100.)
-    else 1.
-  in
-  s.weighted.(0) <- s.weighted.(0) +. weight;
+  s.weighted.(0) <- s.weighted.(0) +. cycle_weight t.cfg ~busy;
   let pieces = Word.pieces word in
   if pieces = [] then s.nops <- s.nops + 1;
   if List.length pieces > 1 then s.packed_words <- s.packed_words + 1;
@@ -1078,10 +1121,7 @@ let compile_branch = function
 let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
   let e = Predecode.lower w in
   let busy = e.Predecode.refs_memory in
-  let weight =
-    if cfg.byte_addressed && busy then 1. +. (cfg.fetch_overhead_pct /. 100.)
-    else 1.
-  in
+  let weight = cycle_weight cfg ~busy in
   let is_nop = e.Predecode.is_nop and packed = e.Predecode.packed in
   let na = e.Predecode.alu_pieces
   and nm = e.Predecode.mem_pieces

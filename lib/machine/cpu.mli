@@ -119,9 +119,13 @@ type t = {
      so a code write can invalidate exactly the traces it affects.
      [jit_nospec] marks branch pcs whose speculation kept failing (one byte
      per imem word; traces recompiled after a blacklisting treat the branch
-     as a trace terminator).  [jit_k] and [jit_pv] are fault-recovery
-     scratch: the body index reached and the in-flight delayed-load value
-     of the trace being executed. *)
+     as a trace terminator).  The tables span imem up to [code_hi], the
+     high-water mark of code written ({!load_program}, {!write_code}) when
+     they were armed; pcs at or above it run on {!step_fast}.  [jit_k] and
+     [jit_pv] are fault-recovery scratch: the body index reached and the
+     in-flight delayed-load value of the trace being executed.  [jit_cov]
+     counts which engine ran each word of a jit run. *)
+  mutable code_hi : int;
   mutable jit_on : bool;
   mutable jit_code : (t -> int -> int) array;
   mutable jit_len : int array;
@@ -130,7 +134,16 @@ type t = {
   mutable jit_nospec : Bytes.t;
   mutable jit_k : int;
   mutable jit_pv : int;
+  jit_cov : coverage;
 }
+
+(** Engine coverage of jit runs, kept apart from {!Stats} so statistics
+    output never depends on the engine.  [trace_words] counts words executed
+    inside compiled traces; [stepped.(i)] counts words the jit loop stepped
+    one at a time because of {!fallback_reasons}[.(i)].  Over a whole run
+    started on a fresh machine, [trace_words] plus the [stepped] total
+    equals [Stats.words]. *)
+and coverage = { mutable trace_words : int; stepped : int array }
 
 (** What the external mapping unit latched at the most recent [Page_fault]
     dispatch. *)
@@ -393,7 +406,15 @@ type br_exec =
   | BXjalind of int * int  (** target register, link register *)
   | BXtrap of int
 
+val cycle_weight : config -> busy:bool -> float
+(** A word's contribution to [Stats.weighted]: 1.0, or 1 + the fetch
+    overhead for a memory-busy word on the byte-addressed machine. *)
+
 val compile_alu : Alu.t -> alu_exec
+val compile_addr : Mem.addr -> t -> int
+(** The effective address of an addressing mode, in the machine's native
+    granularity (no translation, no bounds check). *)
+
 val compile_mem : config -> Mem.t option -> mem_exec
 val compile_branch : int Branch.t option -> br_exec
 
@@ -402,10 +423,30 @@ val compile_branch : int Branch.t option -> br_exec
     The trace compiler lives in [lib/jit] (which depends on this module);
     these are its attachment points. *)
 
+val fallback_reasons : string array
+(** Why the jit loop stepped a word instead of running a trace:
+    ["config"] the machine configuration is not traced (interlocks);
+    ["mode"] user mode or mapping on; ["shadow"] inside a taken branch's
+    delay shadow; ["armed"] tracing, fault injection, an armed flaky
+    reference, the interrupt line or profiling; ["cold"] no trace at the pc
+    yet (below the hotness threshold, or at or above [code_hi]);
+    ["refused"] the trace compiler declined the pc; ["fuel"] a trace
+    exists but the remaining fuel is shorter than it. *)
+
+val coverage : t -> coverage
+(** The machine's jit coverage counters (all zero unless run under jit). *)
+
+val coverage_create : unit -> coverage
+val coverage_add : coverage -> coverage -> unit
+(** [coverage_add acc c] adds [c] into [acc]. *)
+
+val coverage_to_json : coverage -> Mips_obs.Json.t
+(** [{trace_words, stepped_words, trace_share, fallback: {reason: words}}]. *)
+
 val jit_arm : t -> unit
-(** Allocate the per-machine trace-cache arrays ([jit_code] and friends)
-    and set [jit_on], making {!write_code}/{!write_note} invalidate covered
-    traces from then on.  Idempotent. *)
+(** Allocate the per-machine trace-cache arrays ([jit_code] and friends),
+    sized to [code_hi], and set [jit_on], making {!write_code}/{!write_note}
+    invalidate covered traces from then on.  Idempotent. *)
 
 val jit_stale : t -> int -> int
 (** The empty-slot sentinel for [jit_code]; recognized with [==]. *)
@@ -414,7 +455,8 @@ val jit_invalidate : t -> int -> unit
 (** Discard every compiled trace whose body covers the given address. *)
 
 val jit_reset : t -> unit
-(** Discard all traces and hotness counters (program (re)load). *)
+(** Discard all traces and hotness counters and re-size the tables to
+    [code_hi] (program (re)load). *)
 
 val set_jit_runner :
   (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool) -> unit

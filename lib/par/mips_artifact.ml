@@ -23,6 +23,7 @@ type sim = {
   program : Program.t;
   result : Hosted.result;
   stats : Stats.t;  (* read-only by convention: shared across consumers *)
+  coverage : Cpu.coverage;  (* which engine ran the words *)
 }
 
 let default_fuel = 500_000_000
@@ -135,8 +136,11 @@ let compiled ?(config = Mips_ir.Config.default)
     (digest src, config_key config, Mips_reorg.Pipeline.rank level)
     (fun () -> Mips_reorg.Pipeline.compile ~level (asm ~config src))
 
+(* Simulations run on the trace JIT by default: every engine leaves the
+   same bit-identical statistics (the reference interpreter is the oracle
+   the JIT is tested against), and the JIT is the fastest of them. *)
 let simulated ?(config = Mips_ir.Config.default)
-    ?(level = Mips_reorg.Pipeline.Delay_filled) ?(engine = Cpu.Ref)
+    ?(level = Mips_reorg.Pipeline.Delay_filled) ?(engine = Cpu.Jit)
     ?(fuel = default_fuel) ?(input = "") src =
   cached sims
     ( digest src,
@@ -150,9 +154,16 @@ let simulated ?(config = Mips_ir.Config.default)
       let cpu =
         Cpu.create ~config:(Mips_codegen.Compile.machine_config config) ()
       in
+      Mips_jit.install ();
       let result = Hosted.run_program_on ~fuel ~input ~engine cpu program in
-      { program; result; stats = Cpu.stats cpu })
+      { program; result; stats = Cpu.stats cpu; coverage = Cpu.coverage cpu })
 
 let entry_sim ?config ?level ?engine ?fuel (e : Mips_corpus.Corpus.entry) =
   simulated ?config ?level ?engine ?fuel ~input:e.Mips_corpus.Corpus.input
     e.Mips_corpus.Corpus.source
+
+let coverage () =
+  let total = Cpu.coverage_create () in
+  with_lock (fun () ->
+      Hashtbl.iter (fun _ (s, _) -> Cpu.coverage_add total s.coverage) sims);
+  total

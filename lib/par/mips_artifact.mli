@@ -19,6 +19,8 @@ type sim = {
   result : Mips_machine.Hosted.result;
   stats : Mips_machine.Stats.t;
       (** read-only by convention: shared across consumers *)
+  coverage : Mips_machine.Cpu.coverage;
+      (** which engine ran the words (all zero off the jit engine) *)
 }
 
 val default_fuel : int
@@ -43,13 +45,19 @@ val simulated :
   sim
 (** A full simulation of the program: compiled as above, then run to
     completion (or the fuel budget) on a fresh machine matching the
-    config's addressing mode. *)
+    config's addressing mode.  The engine defaults to [Cpu.Jit] (installed
+    here, so no caller has to); every engine yields bit-identical results,
+    the reference interpreter being the oracle the others are tested
+    against, so the engine only changes how fast the artifact is built. *)
 
 val entry_sim :
   ?config:Mips_ir.Config.t -> ?level:Mips_reorg.Pipeline.level ->
   ?engine:Mips_machine.Cpu.engine -> ?fuel:int ->
   Mips_corpus.Corpus.entry -> sim
 (** {!simulated} on a corpus entry's source with the entry's input. *)
+
+val coverage : unit -> Mips_machine.Cpu.coverage
+(** The engine coverage summed over every cached simulation. *)
 
 type counters = { hits : int; misses : int; corrupt : int }
 

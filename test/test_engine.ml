@@ -259,6 +259,60 @@ let test_jit_smc_hot_block () =
       check_string (Printf.sprintf "smc run %d stats" i) rstats jstats)
     (List.combine ref_runs jit_runs)
 
+(* The trace tables cover the code loaded when they were armed, not all of
+   imem.  Code written above that mark afterwards still runs (stepped,
+   counted as cold), and a program reload re-sizes the tables so the same
+   code is traced. *)
+let test_jit_code_mark () =
+  let open Mips_isa in
+  let movi8 c d = Word.A (Alu.Movi8 (c, Reg.r d)) in
+  let rr i = Operand.reg (Reg.r i) in
+  let add a b d = Word.A (Alu.Binop (Alu.Add, a, b, Reg.r d)) in
+  let exit_ = [| Word.A (Alu.Mov (rr 2, Reg.scratch0)); Word.B (Branch.Trap Monitor.exit_) |] in
+  let loop at =
+    Array.append
+      [| movi8 0 1; movi8 0 2; movi8 200 3;
+         add (rr 2) (Operand.imm4 3) 2; (* at + 3: loop *)
+         add (rr 1) (Operand.imm4 1) 1;
+         Word.B (Branch.Cbr (Cond.Lt, rr 1, rr 3, at + 3));
+         Word.Nop |]
+      exit_
+  in
+  let small = Program.make (loop 0) in
+  let high = 300 in
+  let drive engine =
+    let cpu = Cpu.create () in
+    let run () =
+      let res = Hosted.run ~engine cpu in
+      check "halted" true res.Hosted.halted;
+      Cpu.get_reg cpu (Reg.r 2)
+    in
+    Cpu.load_program cpu small;
+    let a = run () in
+    let tables = Array.length cpu.Cpu.jit_code in
+    Array.iteri (fun i w -> Cpu.write_code cpu (high + i) w) (loop high);
+    Cpu.set_pc cpu high;
+    let b = run () in
+    let cold =
+      (Cpu.coverage cpu).Cpu.stepped.(Option.get
+                                         (Array.find_index (( = ) "cold")
+                                            Cpu.fallback_reasons))
+    in
+    Cpu.load_program cpu (Program.make ~entry:high (Array.append (Array.make high Word.Nop) (loop high)));
+    let traced0 = (Cpu.coverage cpu).Cpu.trace_words in
+    let c = run () in
+    ( [ a; b; c ],
+      Json.to_string (Stats.to_json (Cpu.stats cpu)),
+      (tables, cold, (Cpu.coverage cpu).Cpu.trace_words - traced0) )
+  in
+  let rv, rs, _ = drive Cpu.Ref in
+  let jv, js, (tables, cold, traced) = drive Cpu.Jit in
+  check "accumulators match reference" true (rv = jv);
+  check_string "stats match reference" rs js;
+  check_int "tables sized to the loaded code" (Array.length (loop 0)) tables;
+  check "code above the mark stepped as cold" true (cold >= 600);
+  check "reloaded code traced" true (traced > 0)
+
 (* Checkpoint/resume under the jit engine: interrupt a run mid-flight,
    restore the snapshot on a fresh machine (empty trace cache), resume
    under jit, and the completed run must be bit-identical to an
@@ -301,6 +355,223 @@ let test_jit_checkpoint_resume () =
                 Alcotest.failf "seed %d: jit resume diverged from reference" seed))
     [ 7; 19; 41 ]
 
+(* --- byte-addressed traces ---------------------------------------------- *)
+
+(* Every coverage count reconciles with the run's own statistics: a fresh
+   machine run start to finish under jit executes each word either inside
+   a trace or stepped, never both. *)
+let check_coverage_total name (cpu : Cpu.t) =
+  let c = Cpu.coverage cpu in
+  check_int (name ^ ": trace + stepped words = Stats.words")
+    (Cpu.stats cpu).Stats.words
+    (c.Cpu.trace_words + Array.fold_left ( + ) 0 c.Cpu.stepped)
+
+(* (a) The corpus through the trace JIT and the reference interpreter, on
+   both machines.  The soak generator only emits word-addressed references,
+   so this is what drives compiled byte loads, byte stores, misalignment
+   checks and the per-word weight replay of the byte machine. *)
+let test_corpus_jit_vs_ref () =
+  let traced = Hashtbl.create 2 and words = Hashtbl.create 2 in
+  let bump tbl k n =
+    Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  List.iter
+    (fun (e : Mips_corpus.Corpus.entry) ->
+      if not (Mips_analysis.Refpatterns.heavy e) then
+        List.iter
+          (fun (mname, config) ->
+            let program =
+              Mips_artifact.compiled ~config e.Mips_corpus.Corpus.source
+            in
+            let run engine =
+              let cpu =
+                Cpu.create ~config:(Mips_codegen.Compile.machine_config config) ()
+              in
+              let res =
+                Hosted.run_program_on ~fuel:Mips_artifact.default_fuel
+                  ~input:e.Mips_corpus.Corpus.input ~engine cpu program
+              in
+              (cpu, snapshot cpu res)
+            in
+            let name = e.Mips_corpus.Corpus.name ^ "/" ^ mname in
+            let _, r = run Cpu.Ref in
+            let jcpu, j = run Cpu.Jit in
+            explain_diff name 0 r j;
+            check_coverage_total name jcpu;
+            bump traced mname (Cpu.coverage jcpu).Cpu.trace_words;
+            bump words mname (Cpu.stats jcpu).Stats.words)
+          [ ("word", Mips_ir.Config.default); ("byte", Mips_ir.Config.byte_machine) ])
+    Mips_corpus.Corpus.all;
+  (* and the traces carry the bulk of the work on both machines *)
+  List.iter
+    (fun m ->
+      let share =
+        float_of_int (Hashtbl.find traced m) /. float_of_int (Hashtbl.find words m)
+      in
+      if share < 0.9 then Alcotest.failf "%s machine: trace share %.3f < 0.9" m share)
+    [ "word"; "byte" ]
+
+(* (b) Hand-built hot loops on the byte machine.  Each is run through the
+   reference interpreter and the JIT, under both unhandled-fault policies
+   (halt at the fault, or skip the faulting word and carry on), and the
+   whole final state must agree. *)
+module Hand = struct
+  open Mips_isa
+
+  let rr i = Operand.reg (Reg.r i)
+  let i4 = Operand.imm4
+  let movi c d = Word.A (Alu.Movi8 (c, Reg.r d))
+  let bin op a b d = Word.A (Alu.Binop (op, a, b, Reg.r d))
+  let add a b d = bin Alu.Add a b d
+  let ld w a d = Word.M (Mem.Load (w, a, Reg.r d))
+  let st w s a = Word.M (Mem.Store (w, Reg.r s, a))
+  let disp r n = Mem.Disp (Reg.r r, n)
+  let cbr c a b tgt = Word.B (Branch.Cbr (c, a, b, tgt))
+  let exit_with r =
+    [ Word.A (Alu.Mov (rr r, Reg.scratch0)); Word.B (Branch.Trap Monitor.exit_) ]
+
+  (* char/byte notes on the byte-sized references, so the batched
+     reference classes are exercised too *)
+  let program code =
+    let notes =
+      Array.map
+        (fun w ->
+          match Word.mem w with
+          | Some (Mem.Load (Mem.W8, _, _) | Mem.Store (Mem.W8, _, _)) ->
+              Note.make ~char_data:true ~byte_sized:true ()
+          | _ -> Note.plain)
+        code
+    in
+    Program.make ~notes ~data:[ (16, 0x01020304); (17, -7) ] code
+
+  (* A W32 load whose address turns misaligned on iteration 100, in the
+     middle of a spinning trace (body index 2, after iterations have been
+     batched), next to a W32 store. *)
+  let misaligned =
+    Array.append
+      [| movi 64 1; (* 0: base byte address (word 16) *)
+         movi 0 4; (* 1: i *)
+         movi 150 3; (* 2: bound *)
+         movi 100 7; (* 3: faulting iteration *)
+         movi 0 6; (* 4: misalignment *)
+         add (rr 4) (i4 1) 4; (* 5: loop: i += 1 *)
+         Word.A (Alu.Setc (Cond.Eq, rr 4, rr 7, Reg.r 6)); (* 6 *)
+         ld Mem.W32 (Mem.Idx (Reg.r 1, Reg.r 6)) 2; (* 7: faults when r6 = 1 *)
+         st Mem.W32 4 (disp 1 8); (* 8 *)
+         add (rr 8) (rr 2) 8; (* 9 *)
+         cbr Cond.Lt (rr 4) (rr 3) 5; (* 10 *)
+         Word.Nop (* 11: delay slot *) |]
+      (Array.of_list (exit_with 8))
+
+  (* Byte store, then a W32 reload of the same word, extract/insert with
+     the byte-select register, a byte load feeding an add (the fused
+     load+use pair), and a packed ALU + byte-load word — a spin loop full
+     of memory-busy words, so every iteration replays fractional weights.
+     A second, ALU-only loop then runs 16320 iterations on the
+     now-fractional weighted-cycle cell: for some first-loop bounds, adding
+     its unit weights in one batch would round differently from adding
+     them one by one. *)
+  let bytes bound =
+    Array.append
+      [| movi 128 1; (* 0: base byte address (word 32) *)
+         movi 0 4; (* 1: i *)
+         movi bound 3; (* 2: bound *)
+         Word.A (Alu.Wr_special (Alu.Byte_select, i4 2)); (* 3 *)
+         movi 0 8; (* 4 *)
+         bin Alu.And (rr 4) (i4 3) 5; (* 5: loop: lane = i & 3 *)
+         add (rr 1) (rr 5) 9; (* 6: byte address *)
+         st Mem.W8 4 (disp 9 0); (* 7: byte store *)
+         ld Mem.W32 (disp 1 0) 2; (* 8: reload the word *)
+         Word.A (Alu.Ibyte (rr 4, Reg.r 8)); (* 9 *)
+         Word.A (Alu.Xbyte (rr 9, rr 2, Reg.r 11)); (* 10 *)
+         add (rr 13) (rr 11) 13; (* 11 *)
+         ld Mem.W8 (disp 9 0) 14; (* 12: byte load ... *)
+         add (rr 13) (rr 14) 13; (* 13: ... and its use *)
+         Word.AM
+           (Alu.Binop (Alu.Xor, rr 8, rr 13, Reg.r 7),
+            Mem.Load (Mem.W8, disp 1 1, Reg.r 6)); (* 14 *)
+         add (rr 4) (i4 1) 4; (* 15 *)
+         cbr Cond.Lt (rr 4) (rr 3) 5; (* 16 *)
+         Word.Nop; (* 17: delay slot *)
+         movi 0 4; (* 18 *)
+         movi 255 3; (* 19 *)
+         bin Alu.Sll (rr 3) (i4 6) 3; (* 20: bound 16320 *)
+         add (rr 4) (i4 1) 4; (* 21: loop 2 *)
+         add (rr 5) (i4 3) 5; (* 22 *)
+         bin Alu.Xor (rr 5) (rr 4) 6; (* 23 *)
+         cbr Cond.Lt (rr 4) (rr 3) 21; (* 24 *)
+         Word.Nop; (* 25 *)
+         add (rr 13) (rr 7) 13 (* 26 *) |]
+      (Array.of_list (exit_with 13))
+
+  let run ~on_unhandled ~engine code =
+    let cpu = Cpu.create ~config:Cpu.byte_addressed_config () in
+    Cpu.load_program cpu (program code);
+    let res = Hosted.run ~fuel:1_000_000 ~on_unhandled ~engine cpu in
+    (cpu, snapshot cpu res)
+end
+
+let test_byte_hand_loops () =
+  let compare name ~on_unhandled code =
+    let _, r = Hand.run ~on_unhandled ~engine:Cpu.Ref code in
+    let jcpu, j = Hand.run ~on_unhandled ~engine:Cpu.Jit code in
+    explain_diff name 0 r j;
+    check_coverage_total name jcpu;
+    check (name ^ ": ran inside traces") true
+      ((Cpu.coverage jcpu).Cpu.trace_words > 100);
+    jcpu
+  in
+  List.iter
+    (fun (name, code, faults) ->
+      List.iter
+        (fun (pname, on_unhandled) ->
+          let name = name ^ "/" ^ pname in
+          let jcpu = compare name ~on_unhandled code in
+          check (name ^ ": misalignment fault taken") faults
+            (List.exists
+               (fun (c, _) -> c = Cause.Illegal)
+               (Cpu.stats jcpu).Stats.exceptions))
+        [ ("halt", `Abort); ("skip", `Ignore) ])
+    [ ("misaligned", Hand.misaligned, true); ("bytes", Hand.bytes 200, false) ];
+  for i = 0 to 30 do
+    let bound = 100 + (5 * i) in
+    ignore
+      (compare (Printf.sprintf "bytes %d" bound) ~on_unhandled:`Abort
+         (Hand.bytes bound))
+  done
+
+(* (c) The report's simulations run on the default engine; the report's
+   golden file pins only its shape, so the values are checked here: every
+   "sim:" job of the warm-up leaves the same artifact the reference
+   interpreter builds. *)
+let test_report_sims_match_ref () =
+  let sims =
+    List.filter
+      (fun (label, _) -> String.length label > 4 && String.sub label 0 4 = "sim:")
+      (Mips_analysis.Report.prepare_jobs ())
+  in
+  check "report has sim jobs" true (sims <> []);
+  List.iter
+    (fun (label, job) ->
+      job ();
+      match String.split_on_char ':' label with
+      | [ _; cname; name ] ->
+          let config =
+            match cname with
+            | "default" -> Mips_ir.Config.default
+            | "byte" -> Mips_ir.Config.byte_machine
+            | c -> Alcotest.failf "%s: unknown config %s" label c
+          in
+          let e = Mips_corpus.Corpus.find name in
+          let d = Mips_artifact.entry_sim ~config e in
+          let r = Mips_artifact.entry_sim ~config ~engine:Cpu.Ref e in
+          let stats s = Json.to_string (Stats.to_json s.Mips_artifact.stats) in
+          check_string (label ^ " stats") (stats r) (stats d);
+          check (label ^ " result") true
+            (r.Mips_artifact.result = d.Mips_artifact.result)
+      | _ -> Alcotest.failf "unexpected job label %s" label)
+    sims
+
 let suite =
   [ ( "engine:differential",
       [ tc_slow "56 seeds x 4 variants, all engines" test_differential;
@@ -308,4 +579,8 @@ let suite =
         tc "write_code invalidates compiled slot" test_write_code_invalidation;
         tc "kernel scheduling identical" test_kernel_differential;
         tc "jit: SMC patch of hot compiled block" test_jit_smc_hot_block;
-        tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume ] ) ]
+        tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume;
+        tc "jit: trace tables follow the code mark" test_jit_code_mark;
+        tc "jit: corpus x word/byte equals reference" test_corpus_jit_vs_ref;
+        tc "jit: hand-built byte loops equal reference" test_byte_hand_loops;
+        tc "jit: report sim jobs equal reference" test_report_sims_match_ref ] ) ]
