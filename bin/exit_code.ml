@@ -6,7 +6,7 @@ let ok = Cmdliner.Cmd.Exit.ok (* 0 *)
 let usage = 2 (* bad arguments, missing or unwritable file *)
 let out_of_fuel = 3 (* the program did not halt within the fuel budget *)
 let divergence = 4 (* a soak variant diverged from the reference *)
-let checkpoint = 5 (* a checkpoint could not be read, or does not match *)
+let checkpoint = 5 (* a checkpoint could not be read or written, or does not match *)
 let connect = 6 (* the mipsd socket could not be reached *)
 let overloaded = 7 (* the daemon shed the request (overload/quarantine/drain) *)
 let protocol = 8 (* a malformed, truncated or version-skewed frame *)
@@ -25,8 +25,9 @@ let infos =
     info divergence
       ~doc:"when a soak variant diverged from the reference machine.";
     info checkpoint
-      ~doc:"when a checkpoint file cannot be read (truncated, corrupt, \
-            version skew) or does not match the requested run.";
+      ~doc:"when a checkpoint file cannot be read or written (truncated, \
+            corrupt, version skew, unwritable path) or does not match the \
+            requested run.";
     info connect
       ~doc:"when the mipsd daemon socket cannot be reached (daemon not \
             running, wrong path, or a dead socket file).";

@@ -4,7 +4,8 @@
    mipsc compile FILE        compile and print the final listing
    mipsc asm FILE            print the symbolic assembly (before the postpass)
    mipsc levels FILE         static counts at each postpass level (Table 11 view)
-   mipsc profile FILE        per-phase compile times and top stall-causing pairs
+   mipsc profile compile FILE
+                             per-phase compile times and top stall-causing pairs
    mipsc profile run FILE    execute with guest profiling: hot blocks, edges,
                              fusion-candidate pairs, flamegraph/speedscope
    mipsc corpus [NAME]       run corpus programs
@@ -52,20 +53,6 @@ let read_source path =
     | exception Not_found ->
         Printf.eprintf "mipsc: no such file or corpus program: %s\n" path;
         exit Exit_code.usage
-
-let config_of ~byte ~early_out =
-  let base =
-    if byte then Mips_ir.Config.byte_machine else Mips_ir.Config.default
-  in
-  if early_out then
-    { base with Mips_ir.Config.bool_strategy = Mips_ir.Config.Early_out }
-  else base
-
-let level_of = function
-  | 0 -> Mips_reorg.Pipeline.Naive
-  | 1 -> Mips_reorg.Pipeline.Reorganized
-  | 2 -> Mips_reorg.Pipeline.Packed
-  | _ -> Mips_reorg.Pipeline.Delay_filled
 
 (* common flags *)
 let file_arg =
@@ -289,7 +276,7 @@ let run_cmd =
       fault_seed fault_rate engine fuel jobs checkpoint checkpoint_every
       resume host_trace remote tenant =
     apply_jobs jobs;
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.make ~byte ~early_out in
     let src = read_source file in
     (match remote with
     | Some socket ->
@@ -329,144 +316,93 @@ let run_cmd =
               irq_rate = fault_rate /. 2. })
         fault_seed
     in
+    (* One body for every run: compile, create the machine, optionally
+       restore it from a checkpoint, then run the hosted loop — unsliced
+       without --checkpoint.  The spans are no-ops without --host-trace.
+       The meta section pins everything the run depends on; a resume
+       against different arguments is refused rather than silently
+       diverging. *)
+    let module Snapshot = Mips_resilience.Snapshot in
     let tracer = make_tracer ~lanes:1 host_trace in
     let sp = Mips_obs.Span.lane tracer 0 in
-    let res, cpu =
-      if checkpoint = None && resume = None && host_trace = None then
-        Mips_codegen.Compile.run_with_machine ~config ~level:(level_of level)
-          ~fuel ~input ~trace:trace_sink ?fault_plan ~engine src
-      else if checkpoint = None && resume = None then begin
-        (* host-traced twin of [Compile.run_with_machine]: identical phases,
-           each timed as a span so the trace separates compile from
-           simulate *)
-        let program =
-          Mips_obs.Span.with_ sp "compile" (fun () ->
-              Mips_codegen.Compile.compile ~config ~level:(level_of level) src)
-        in
-        let cpu =
-          Mips_machine.Cpu.create
-            ~config:(Mips_codegen.Compile.machine_config config) ()
-        in
-        Mips_machine.Cpu.set_trace cpu trace_sink;
-        (match fault_plan with
-        | Some plan -> Mips_machine.Cpu.set_fault_plan cpu plan
-        | None -> ());
-        let res =
-          Mips_obs.Span.with_ sp "simulate" (fun () ->
-              Mips_machine.Hosted.run_program_on ~fuel ~input ~engine cpu
-                program)
-        in
-        (res, cpu)
-      end
-      else begin
-        (* the checkpointed twin of [Compile.run_with_machine]: same compile,
-           same machine setup, but the hosted loop runs in slices and saves
-           machine + host state at each boundary.  The meta section pins
-           everything the run depends on; a resume against different
-           arguments is refused rather than silently diverging. *)
-        let module Snapshot = Mips_resilience.Snapshot in
-        let meta =
-          let open Snapshot.Io.W in
-          let b = create () in
-          str b (Digest.string src);
-          bool b byte;
-          bool b early_out;
-          int b level;
-          str b (Mips_machine.Cpu.engine_name engine);
-          str b (Digest.string input);
-          int b fuel;
-          opt int b fault_seed;
-          float b fault_rate;
-          contents b
-        in
-        let program =
-          Mips_obs.Span.with_ sp "compile" (fun () ->
-              Mips_codegen.Compile.compile ~config ~level:(level_of level) src)
-        in
-        let cpu =
-          Mips_machine.Cpu.create
-            ~config:(Mips_codegen.Compile.machine_config config) ()
-        in
-        if Mips_obs.Sink.enabled trace_sink then
-          Mips_machine.Cpu.set_trace cpu trace_sink;
-        (match fault_plan with
-        | Some plan -> Mips_machine.Cpu.set_fault_plan cpu plan
-        | None -> ());
-        Mips_machine.Cpu.load_program cpu program;
-        let resume_state =
-          match resume with
-          | None -> None
-          | Some path -> (
-              let open Snapshot in
+    let program =
+      Mips_obs.Span.with_ sp "compile" (fun () ->
+          Mips_codegen.Compile.compile ~config
+            ~level:(Mips_reorg.Pipeline.of_rank level) src)
+    in
+    let cpu =
+      Mips_machine.Cpu.create
+        ~config:(Mips_codegen.Compile.machine_config config) ()
+    in
+    Mips_machine.Cpu.set_trace cpu trace_sink;
+    Option.iter (Mips_machine.Cpu.set_fault_plan cpu) fault_plan;
+    Mips_machine.Cpu.load_program cpu program;
+    let meta =
+      let open Snapshot.Io.W in
+      let b = create () in
+      str b (Digest.string src);
+      bool b byte;
+      bool b early_out;
+      int b level;
+      str b (Mips_machine.Cpu.engine_name engine);
+      str b (Digest.string input);
+      int b fuel;
+      opt int b fault_seed;
+      float b fault_rate;
+      contents b
+    in
+    let checkpoint_event ev =
+      if Mips_obs.Sink.enabled trace_sink then Mips_obs.Sink.emit trace_sink ev
+    in
+    let resume =
+      Option.map
+        (fun path ->
+          match
+            Snapshot.(
+              let* c = load ~kind:"run" ~pin:("meta", meta) path in
+              restore_run cpu c)
+          with
+          | Ok h ->
+              checkpoint_event
+                (Mips_obs.Event.Checkpoint_restore
+                   { path; phase = "run";
+                     steps = fuel - h.Mips_machine.Hosted.h_fuel_left });
+              h
+          | Error e ->
+              Printf.eprintf "mipsc: cannot resume from %s: %s\n" path
+                (Snapshot.error_to_string e);
+              exit Exit_code.checkpoint)
+        resume
+    in
+    let checkpoint =
+      Option.map
+        (fun path ->
+          ( checkpoint_every,
+            fun (h : Mips_machine.Hosted.host_state) ->
               match
-                let* c = read_file path in
-                let* () =
-                  if String.equal c.kind "run" then Ok ()
-                  else
-                    Error
-                      (Corrupt (Printf.sprintf "not a run checkpoint: %S" c.kind))
-                in
-                let* m = section c "meta" in
-                let* () =
-                  if String.equal m meta then Ok ()
-                  else Error (Corrupt "checkpoint does not match this run")
-                in
-                let* h = section c "host" in
-                let* h = host_of_string h in
-                let* mach = section c "machine" in
-                let* () = restore_machine cpu mach in
-                Ok h
+                Snapshot.save path ~kind:"run"
+                  (("meta", meta) :: Snapshot.run_sections cpu h)
               with
-              | Ok h ->
-                  if Mips_obs.Sink.enabled trace_sink then
-                    Mips_obs.Sink.emit trace_sink
-                      (Mips_obs.Event.Checkpoint_restore
-                         { path; phase = "run";
-                           steps = fuel - h.Mips_machine.Hosted.h_fuel_left });
-                  Some h
-              | Error e ->
-                  Printf.eprintf "mipsc: cannot resume from %s: %s\n" path
-                    (error_to_string e);
-                  exit Exit_code.checkpoint)
-        in
-        let ckpt =
-          Option.map
-            (fun path ->
-              ( checkpoint_every,
-                fun (h : Mips_machine.Hosted.host_state) ->
-                  let data =
-                    Snapshot.encode
-                      { Snapshot.kind = "run";
-                        sections =
-                          [ ("meta", meta);
-                            ("machine", Snapshot.machine_to_string cpu);
-                            ("host", Snapshot.host_to_string h) ] }
-                  in
-                  (try Snapshot.write_file path data
-                   with Sys_error msg ->
-                     Printf.eprintf "mipsc: cannot write checkpoint %s: %s\n"
-                       path msg;
-                     exit Exit_code.checkpoint);
-                  if Mips_obs.Sink.enabled trace_sink then
-                    Mips_obs.Sink.emit trace_sink
-                      (Mips_obs.Event.Checkpoint_write
-                         { path; phase = "run";
-                           steps = fuel - h.Mips_machine.Hosted.h_fuel_left;
-                           bytes = String.length data }) ))
-            checkpoint
-        in
-        let fuel =
-          match resume_state with
-          | Some h -> h.Mips_machine.Hosted.h_fuel_left
-          | None -> fuel
-        in
-        let res =
-          Mips_obs.Span.with_ sp "simulate" (fun () ->
-              Mips_machine.Hosted.run ~fuel ~input ~engine ?resume:resume_state
-                ?checkpoint:ckpt cpu)
-        in
-        (res, cpu)
-      end
+              | bytes ->
+                  checkpoint_event
+                    (Mips_obs.Event.Checkpoint_write
+                       { path; phase = "run";
+                         steps = fuel - h.Mips_machine.Hosted.h_fuel_left;
+                         bytes })
+              | exception Sys_error msg ->
+                  Printf.eprintf "mipsc: cannot write checkpoint %s: %s\n"
+                    path msg;
+                  exit Exit_code.checkpoint ))
+        checkpoint
+    in
+    let fuel =
+      match resume with
+      | Some h -> h.Mips_machine.Hosted.h_fuel_left
+      | None -> fuel
+    in
+    let res =
+      Mips_obs.Span.with_ sp "simulate" (fun () ->
+          Mips_machine.Hosted.run ~fuel ~input ~engine ?resume ?checkpoint cpu)
     in
     Mips_obs.Sink.flush trace_sink;
     trace_close ();
@@ -505,9 +441,9 @@ let run_cmd =
 
 let compile_cmd =
   let compile file byte early_out level =
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.make ~byte ~early_out in
     let p =
-      Mips_codegen.Compile.compile ~config ~level:(level_of level)
+      Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level)
         (read_source file)
     in
     Format.printf "%a@." Mips_machine.Program.pp_listing p;
@@ -518,7 +454,7 @@ let compile_cmd =
 
 let asm_cmd =
   let asm file byte early_out =
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.make ~byte ~early_out in
     let a = Mips_codegen.Compile.to_asm ~config (read_source file) in
     Format.printf "%a@." Mips_reorg.Asm.pp a
   in
@@ -527,7 +463,7 @@ let asm_cmd =
 
 let levels_cmd =
   let levels file byte =
-    let config = config_of ~byte ~early_out:false in
+    let config = Mips_ir.Config.make ~byte ~early_out:false in
     let asm = Mips_codegen.Compile.to_asm ~config (read_source file) in
     List.iter
       (fun level ->
@@ -543,7 +479,7 @@ let levels_cmd =
 
 let profile_cmd =
   let profile file byte early_out level input top json =
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.make ~byte ~early_out in
     let src = read_source file in
     let input =
       if input = "" then
@@ -554,7 +490,7 @@ let profile_cmd =
     in
     let obs = Mips_obs.Metrics.create () in
     let _program =
-      Mips_codegen.Compile.compile_profiled ~config ~level:(level_of level) ~obs
+      Mips_codegen.Compile.compile_profiled ~config ~level:(Mips_reorg.Pipeline.of_rank level) ~obs
         src
     in
     (* execute raw program-order code on the hardware-interlock comparison
@@ -632,15 +568,6 @@ let profile_cmd =
         Format.printf "(program ran out of fuel)@."
     end
   in
-  let compile_profile_term =
-    Term.(
-      const profile $ file_arg $ byte_flag $ early_flag $ level_flag
-      $ input_flag
-      $ Arg.(
-          value & opt int 10
-          & info [ "top" ] ~docv:"N" ~doc:"How many stall pairs to show.")
-      $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON."))
-  in
   (* `profile run`: execute with guest profiling armed and fold the per-PC
      counters into blocks, edges and fusion-candidate pairs.  The cycle
      attribution is exact — it sums back to the run's Stats totals — and
@@ -648,7 +575,7 @@ let profile_cmd =
   let profile_run_cmd =
     let prun file byte early_out level interlock input engine fuel hot flame
         speedscope json host_trace =
-      let config = config_of ~byte ~early_out in
+      let config = Mips_ir.Config.make ~byte ~early_out in
       let src = read_source file in
       let input =
         if input = "" then
@@ -668,7 +595,7 @@ let profile_cmd =
             if interlock then
               Mips_reorg.Pipeline.compile_raw
                 (Mips_codegen.Compile.to_asm ~config src)
-            else Mips_codegen.Compile.compile ~config ~level:(level_of level) src)
+            else Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level) src)
       in
       let machine_config =
         let c = Mips_codegen.Compile.machine_config config in
@@ -757,25 +684,28 @@ let profile_cmd =
         $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON.")
         $ host_trace_flag)
   in
-  (* `profile compile FILE` is the explicit spelling of the default term;
-     the legacy `profile FILE` spelling is kept working by the argv rewrite
-     at the entry point (a cmdliner group treats a bare positional after
-     the group name as a subcommand lookup). *)
   let profile_compile_cmd =
     Cmd.v
       (Cmd.info "compile" ~exits:Exit_code.infos
          ~doc:
            "Per-phase compile times, reorganizer pass statistics, and the \
             top stall-causing instruction pairs on the hardware-interlock \
-            machine (the default when no subcommand is given).")
-      compile_profile_term
+            machine.")
+      Term.(
+        const profile $ file_arg $ byte_flag $ early_flag $ level_flag
+        $ input_flag
+        $ Arg.(
+            value & opt int 10
+            & info [ "top" ] ~docv:"N" ~doc:"How many stall pairs to show.")
+        $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the profile as JSON."))
   in
-  Cmd.group ~default:compile_profile_term
+  Cmd.group
     (Cmd.info "profile" ~exits:Exit_code.infos
        ~doc:
-         "Per-phase compile times, reorganizer pass statistics, and the top \
-          stall-causing instruction pairs on the hardware-interlock machine; \
-          $(b,profile run) executes with guest profiling.")
+         "$(b,profile compile) reports per-phase compile times, reorganizer \
+          pass statistics, and the top stall-causing instruction pairs on \
+          the hardware-interlock machine; $(b,profile run) executes with \
+          guest profiling.")
     [ profile_run_cmd; profile_compile_cmd ]
 
 let corpus_cmd =
@@ -813,15 +743,7 @@ let soak_cmd =
       data_flip_rate irq_rate page_drop_rate flaky_rate differential engine
       json jobs checkpoint checkpoint_every resume stats_json host_trace =
     apply_jobs jobs;
-    (* --engine=ref keeps the historical split: interpreted kernel phase,
-       fast-engine differential variants (matching Soak.run_checkpointed) *)
-    let diff_engine =
-      match engine with
-      | Mips_machine.Cpu.Ref -> Mips_machine.Cpu.Fast
-      | e -> e
-    in
     let tracer = make_tracer ~lanes:1 host_trace in
-    let sp = Mips_obs.Span.lane tracer 0 in
     let plan =
       {
         Mips_fault.Plan.seed;
@@ -833,33 +755,20 @@ let soak_cmd =
         max_injections = 0;
       }
     in
-    (* with no resilience flags the original two-phase path runs untouched;
-       with --checkpoint/--resume the checkpointed runner produces the same
-       summary and diff list (both are pure functions of the parameters),
-       so the JSON below is identical either way *)
     let s, diffs =
-      if checkpoint = None && resume = None then
-        ( Mips_obs.Span.with_ sp "kernel_soak" (fun () ->
-              Mips_soak.Soak.run_soak ~programs ?segments ~quantum ?watchdog
-                ~steps ~engine ~plan ~seed ()),
-          Mips_obs.Span.with_ sp "differential" (fun () ->
-              Mips_soak.Soak.differential_sweep ?segments ~seed
-                ~engine:diff_engine ~count:differential ()) )
-      else
-        match
-          Mips_obs.Span.with_ sp "soak_checkpointed" (fun () ->
-              Mips_soak.Soak.run_checkpointed ~programs ?segments ~quantum
-                ?watchdog ~steps ~diff_count:differential ?checkpoint
-                ~checkpoint_every ?resume ~engine ~plan ~seed ())
-        with
-        | Ok (Mips_soak.Soak.Complete (s, diffs)) -> (s, diffs)
-        | Ok Mips_soak.Soak.Interrupted ->
-            (* unreachable without the in-process max_slices test hook *)
-            assert false
-        | Error e ->
-            Printf.eprintf "mipsc: checkpoint error: %s\n"
-              (Mips_resilience.Snapshot.error_to_string e);
-            exit Exit_code.checkpoint
+      match
+        Mips_soak.Soak.run_checkpointed ~programs ?segments ~quantum ?watchdog
+          ~steps ~diff_count:differential ?checkpoint ~checkpoint_every
+          ?resume ~tracer ~engine ~plan ~seed ()
+      with
+      | Ok (Mips_soak.Soak.Complete (s, diffs)) -> (s, diffs)
+      | Ok Mips_soak.Soak.Interrupted ->
+          (* unreachable without the in-process max_slices test hook *)
+          assert false
+      | Error e ->
+          Printf.eprintf "mipsc: checkpoint error: %s\n"
+            (Mips_resilience.Snapshot.error_to_string e);
+          exit Exit_code.checkpoint
     in
     let diverged =
       List.filter (fun d -> not d.Mips_soak.Soak.ok) diffs
@@ -1115,24 +1024,8 @@ let report_cmd =
 let () =
   Mips_jit.install ();
   let doc = "compiler, reorganizer and simulator for the MIPS tradeoffs reproduction" in
-  (* `profile FILE ...` predates `profile` growing subcommands; a cmdliner
-     group resolves the token right after the group name as a subcommand,
-     so route the legacy spelling through the explicit `compile` one. *)
-  let argv =
-    let a = Sys.argv in
-    if
-      Array.length a >= 3
-      && a.(1) = "profile"
-      && a.(2) <> "run" && a.(2) <> "compile"
-      && String.length a.(2) > 0
-      && a.(2).[0] <> '-'
-    then
-      Array.concat
-        [ [| a.(0); "profile"; "compile" |]; Array.sub a 2 (Array.length a - 2) ]
-    else a
-  in
   exit
-    (Cmd.eval ~argv
+    (Cmd.eval
        (Cmd.group (Cmd.info "mipsc" ~version:"1.0.0" ~exits:Exit_code.infos ~doc)
           [ run_cmd; compile_cmd; asm_cmd; levels_cmd; profile_cmd; corpus_cmd; soak_cmd;
             report_cmd ]))

@@ -48,30 +48,34 @@ let classify file =
       | _ -> None)
     exts
 
-let section_ok c name decode =
-  match Snapshot.section c name with
-  | Error _ -> false
-  | Ok payload -> decode payload
+(* the two recovery roots, decoded all the way down *)
+let read_meta path =
+  let open Snapshot in
+  let* c = load ~kind:"mipsd-meta" path in
+  let* r = section c "request" in
+  Result.map_error
+    (fun e -> Corrupt (Frame.error_to_string e))
+    (Protocol.decode_request r)
 
-let valid path ext =
-  match Snapshot.read_file path with
-  | Error _ -> false
-  | Ok c -> (
-      String.equal c.Snapshot.kind (kind_of_ext ext)
-      &&
-      (* checkpoint payloads are re-validated on resume (a damaged run
-         checkpoint just restarts the run), so container validity is the
-         bar there; .meta and .done are the recovery roots and must decode
-         all the way down *)
-      match ext with
-      | ".meta" ->
-          section_ok c "request" (fun r ->
-              Result.is_ok (Protocol.decode_request r))
-      | ".done" ->
-          section_ok c "tenant" (fun _ -> true)
-          && section_ok c "response" (fun r ->
-                 Result.is_ok (Protocol.decode_response r))
-      | _ -> true)
+let read_done path =
+  let open Snapshot in
+  let* c = load ~kind:"mipsd-done" path in
+  let* tenant = section c "tenant" in
+  let* r = section c "response" in
+  Result.map
+    (fun resp -> (tenant, resp))
+    (Result.map_error
+       (fun e -> Corrupt (Frame.error_to_string e))
+       (Protocol.decode_response r))
+
+(* checkpoint payloads are re-validated on resume (a damaged run
+   checkpoint just restarts the run), so container validity is the bar
+   there; .meta and .done are the recovery roots and must decode all the
+   way down *)
+let valid path = function
+  | ".meta" -> Result.is_ok (read_meta path)
+  | ".done" -> Result.is_ok (read_done path)
+  | ext -> Result.is_ok (Snapshot.load ~kind:(kind_of_ext ext) path)
 
 let fsck dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then

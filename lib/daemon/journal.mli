@@ -33,6 +33,15 @@ type report = {
   sessions : (string * verdict) list;  (** sorted by session id *)
 }
 
+val read_meta :
+  string -> (Protocol.request, Mips_resilience.Snapshot.error) result
+(** Read a session's [.meta] file: the journalled request. *)
+
+val read_done :
+  string -> (string * Protocol.response, Mips_resilience.Snapshot.error) result
+(** Read a session's [.done] file: the owning tenant and the recorded
+    response. *)
+
 val fsck : string -> (report, string) result
 (** Scan and repair [dir] in place.  [Error] only when [dir] is not a
     readable directory — damaged session files are never an error, they

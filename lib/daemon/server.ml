@@ -124,65 +124,27 @@ let write_meta t id req =
   | None -> ()
   | Some path ->
       journal_op t;
-      Snapshot.write_file path
-        (Snapshot.encode
-           { Snapshot.kind = "mipsd-meta";
-             sections = [ ("request", Protocol.encode_request req) ] })
+      ignore
+        (Snapshot.save path ~kind:"mipsd-meta"
+           [ ("request", Protocol.encode_request req) ])
 
-let read_meta t id =
-  match session_file t id ".meta" with
-  | None -> None
-  | Some path -> (
-      if not (Sys.file_exists path) then None
-      else
-        let open Snapshot in
-        match
-          let* c = read_file path in
-          let* () =
-            if String.equal c.kind "mipsd-meta" then Ok ()
-            else Error (Corrupt "not a mipsd session meta file")
-          in
-          let* r = section c "request" in
-          match Protocol.decode_request r with
-          | Ok req -> Ok req
-          | Error e -> Error (Corrupt (Frame.error_to_string e))
-        with
-        | Ok req -> Some req
-        | Error _ -> None)
+let read_journal t id ext read =
+  match session_file t id ext with
+  | Some path when Sys.file_exists path -> Result.to_option (read path)
+  | _ -> None
+
+let read_meta t id = read_journal t id ".meta" Journal.read_meta
 
 let write_done t id ~tenant resp =
   match session_file t id ".done" with
   | None -> ()
   | Some path ->
       journal_op t;
-      Snapshot.write_file path
-        (Snapshot.encode
-           { Snapshot.kind = "mipsd-done";
-             sections =
-               [ ("tenant", tenant);
-                 ("response", Protocol.encode_response resp) ] })
+      ignore
+        (Snapshot.save path ~kind:"mipsd-done"
+           [ ("tenant", tenant); ("response", Protocol.encode_response resp) ])
 
-let read_done t id =
-  match session_file t id ".done" with
-  | None -> None
-  | Some path -> (
-      if not (Sys.file_exists path) then None
-      else
-        let open Snapshot in
-        match
-          let* c = read_file path in
-          let* () =
-            if String.equal c.kind "mipsd-done" then Ok ()
-            else Error (Corrupt "not a mipsd session result file")
-          in
-          let* tenant = section c "tenant" in
-          let* r = section c "response" in
-          match Protocol.decode_response r with
-          | Ok resp -> Ok (tenant, resp)
-          | Error e -> Error (Corrupt (Frame.error_to_string e))
-        with
-        | Ok v -> Some v
-        | Error _ -> None)
+let read_done t id = read_journal t id ".done" Journal.read_done
 
 let remove_session_files t id exts =
   List.iter
@@ -197,22 +159,15 @@ let remove_session_files t id exts =
 (* --- job bodies ------------------------------------------------------------- *)
 
 let config_of { Protocol.byte; early_out; level = _ } =
-  let base =
-    if byte then Mips_ir.Config.byte_machine else Mips_ir.Config.default
-  in
-  if early_out then
-    { base with Mips_ir.Config.bool_strategy = Mips_ir.Config.Early_out }
-  else base
-
-let level_of = function
-  | 0 -> Mips_reorg.Pipeline.Naive
-  | 1 -> Mips_reorg.Pipeline.Reorganized
-  | 2 -> Mips_reorg.Pipeline.Packed
-  | _ -> Mips_reorg.Pipeline.Delay_filled
+  Mips_ir.Config.make ~byte ~early_out
 
 let compile_job ~source ~cg () =
   let config = config_of cg in
-  let p = Mips_artifact.compiled ~config ~level:(level_of cg.Protocol.level) source in
+  let p =
+    Mips_artifact.compiled ~config
+      ~level:(Mips_reorg.Pipeline.of_rank cg.Protocol.level)
+      source
+  in
   Protocol.Listing
     (Format.asprintf "%a@.; %d instruction words@." Mips_machine.Program.pp_listing
        p
@@ -227,7 +182,7 @@ let compile_job ~source ~cg () =
 let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
   let quota = Tenants.quota t.tenants in
   let config = config_of cg in
-  let level = level_of cg.Protocol.level in
+  let level = Mips_reorg.Pipeline.of_rank cg.Protocol.level in
   let program = Mips_artifact.compiled ~config ~level source in
   let cpu =
     Cpu.create ~config:(Mips_codegen.Compile.machine_config config) ()
@@ -239,23 +194,10 @@ let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
   let resume_state =
     match ckpt_path with
     | Some path when Sys.file_exists path -> (
-        let open Snapshot in
         match
-          let* c = read_file path in
-          let* () =
-            if String.equal c.kind "mipsd-run" then Ok ()
-            else Error (Corrupt "not a mipsd run checkpoint")
-          in
-          let* m = section c "meta" in
-          let* () =
-            if String.equal m req_digest then Ok ()
-            else Error (Corrupt "checkpoint does not match this session")
-          in
-          let* h = section c "host" in
-          let* h = host_of_string h in
-          let* mach = section c "machine" in
-          let* () = restore_machine cpu mach in
-          Ok h
+          Snapshot.(
+            let* c = load ~kind:"mipsd-run" ~pin:("meta", req_digest) path in
+            restore_run cpu c)
         with
         | Ok h -> Some h
         | Error _ ->
@@ -280,13 +222,9 @@ let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
     | None -> ()
     | Some path ->
         journal_op t;
-        Snapshot.write_file path
-          (Snapshot.encode
-             { Snapshot.kind = "mipsd-run";
-               sections =
-                 [ ("meta", req_digest);
-                   ("machine", Snapshot.machine_to_string cpu);
-                   ("host", Snapshot.host_to_string h) ] }));
+        ignore
+          (Snapshot.save path ~kind:"mipsd-run"
+             (("meta", req_digest) :: Snapshot.run_sections cpu h)));
     incr checkpoints;
     match t.config.test_crash_after_checkpoints with
     | Some n when session <> None && !checkpoints >= n -> raise Crashed

@@ -4,7 +4,7 @@
    list of closed ones.  Lanes never share mutable state: a tracer
    pre-allocates one collector per worker lane, each worker domain writes
    only its own, and the merged view is read after the workers have joined
-   — the same discipline as {!Metrics} registries in [Mips_par.map_obs].
+   — the discipline [Mips_par.map_spans] relies on.
 
    The clock is injected so this module (like the rest of [Mips_obs]) has
    no dependency on [unix]; callers that want wall time pass

@@ -38,43 +38,38 @@ type 'b slot =
   | Done of 'b
   | Failed of exn * Printexc.raw_backtrace
 
-(* Run [body 0 .. body (n-1)] on [jobs] domains (the caller counts as one). *)
-let run_pool ~jobs ~n body =
+(* The one worker loop: run [body ctx i] for i = 0 .. n-1 on [jobs] domains
+   (the caller counts as one), each worker claiming items off a shared
+   counter.  Worker [w] builds its private context with [ctx w] first. *)
+let run_pool ~jobs ~n ~ctx body =
   let next = Atomic.make 0 in
-  let worker () =
+  let worker w () =
+    let c = ctx w in
     let rec go () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        body i;
+        body c i;
         go ()
       end
     in
     go ()
   in
   let spawned = max 0 (min (jobs - 1) (n - 1)) in
-  let domains = List.init spawned (fun _ -> Domain.spawn worker) in
-  worker ();
+  let domains = List.init spawned (fun k -> Domain.spawn (worker (k + 1))) in
+  worker 0 ();
   List.iter Domain.join domains
 
-let collect results =
-  Array.to_list
-    (Array.map
-       (function
-         | Done v -> v
-         | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-         | Pending -> assert false)
-       results)
-
-let map ?jobs ?label f xs =
+(* [map] with a per-worker context handed to every job the worker runs *)
+let map_ctx ?jobs ?label ~ctx f xs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let items = Array.of_list xs in
   let n = Array.length items in
   if n = 0 then []
   else begin
     let results = Array.make n Pending in
-    run_pool ~jobs ~n (fun i ->
+    run_pool ~jobs ~n ~ctx (fun c i ->
         results.(i) <-
-          (match f items.(i) with
+          (match f c items.(i) with
           | v -> Done v
           | exception e ->
               (* capture the backtrace of the failing job itself; with
@@ -87,8 +82,16 @@ let map ?jobs ?label f xs =
                 | None -> e
               in
               Failed (e, bt)));
-    collect results
+    Array.to_list
+      (Array.map
+         (function
+           | Done v -> v
+           | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+           | Pending -> assert false)
+         results)
   end
+
+let map ?jobs ?label f xs = map_ctx ?jobs ?label ~ctx:ignore (fun () x -> f x) xs
 
 (* Map each item, then fold the results in submission order.  The fold is
    sequential and ordered, so [merge] need not be commutative — and when it
@@ -96,76 +99,13 @@ let map ?jobs ?label f xs =
 let map_reduce ?jobs ~map:f ~merge ~zero xs =
   List.fold_left merge zero (map ?jobs f xs)
 
-(* Like [map], but each worker records into its own private metrics
-   registry; the registries are folded into [obs] after the join, in worker
-   order.  Counters and timers therefore see no cross-domain writes. *)
 (* Like [map], but each job runs inside a span on its worker's lane, so a
-   host trace shows what every domain was doing when.  Lanes are private to
-   their worker (the [map_obs] discipline), and the caller reads the merged
-   spans only after this returns — i.e. after the join. *)
+   host trace shows what every domain was doing when.  A lane is private
+   to its worker, and the caller reads the merged spans only after this
+   returns — i.e. after the join. *)
 let map_spans ?jobs ~tracer ~name f xs =
   if not (Mips_obs.Span.tracer_enabled tracer) then map ?jobs f xs
-  else begin
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    if n = 0 then []
-    else begin
-      let workers = max 1 (min jobs n) in
-      let results = Array.make n Pending in
-      let next = Atomic.make 0 in
-      let worker wid () =
-        let sp = Mips_obs.Span.lane tracer wid in
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            results.(i) <-
-              (match
-                 Mips_obs.Span.with_ sp (name items.(i)) (fun () -> f items.(i))
-               with
-              | v -> Done v
-              | exception e -> Failed (e, Printexc.get_raw_backtrace ()));
-            go ()
-          end
-        in
-        go ()
-      in
-      let domains =
-        List.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
-      in
-      worker 0 ();
-      List.iter Domain.join domains;
-      collect results
-    end
-  end
-
-let map_obs ?jobs ~obs f xs =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  if n = 0 then []
-  else begin
-    let workers = max 1 (min jobs n) in
-    let sinks = Array.init workers (fun _ -> Mips_obs.Metrics.create ()) in
-    let results = Array.make n Pending in
-    let next = Atomic.make 0 in
-    let worker wid () =
-      let obs = sinks.(wid) in
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <-
-            (match f ~obs items.(i) with
-            | v -> Done v
-            | exception e -> Failed (e, Printexc.get_raw_backtrace ()));
-          go ()
-        end
-      in
-      go ()
-    in
-    let domains = List.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    List.iter Domain.join domains;
-    Array.iter (fun sink -> Mips_obs.Metrics.merge ~into:obs sink) sinks;
-    collect results
-  end
+  else
+    map_ctx ?jobs ~ctx:(Mips_obs.Span.lane tracer)
+      (fun sp x -> Mips_obs.Span.with_ sp (name x) (fun () -> f x))
+      xs

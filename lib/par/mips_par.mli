@@ -46,11 +46,3 @@ val map_spans :
     was doing when.  With {!Mips_obs.Span.no_tracer} this is exactly
     {!map}.  Read [Mips_obs.Span.tracer_spans] only after this returns
     (the workers have joined by then). *)
-
-val map_obs :
-  ?jobs:int -> obs:Mips_obs.Metrics.t -> (obs:Mips_obs.Metrics.t -> 'a -> 'b) ->
-  'a list -> 'b list
-(** Like {!map} for instrumented work: each worker records into its own
-    private metrics registry, and the registries are folded into [obs]
-    after the join (in worker order), so counters and timers see no
-    cross-domain writes. *)

@@ -21,6 +21,10 @@ val rank : level -> int
     compact cache-key component for callers that memoize per-level
     artifacts. *)
 
+val of_rank : int -> level
+(** Inverse of {!rank}; any rank above 2 (or below 0) is [Delay_filled],
+    so [-O N] and the wire protocol's level field map the same way. *)
+
 val compile : ?level:level -> Asm.program -> Mips_machine.Program.t
 (** Run the postpass at the given level (default [Delay_filled]) and
     assemble.  The result is hazard-free by construction at every level. *)

@@ -794,3 +794,33 @@ let sched_of_string data =
 
 (* monadic helpers for callers assembling multi-section restores *)
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+(* --- checkpoint files ------------------------------------------------------- *)
+
+let save path ~kind sections =
+  let data = encode { kind; sections } in
+  write_file path data;
+  String.length data
+
+(* the one kind-then-pin check every checkpoint reader goes through *)
+let load ~kind ?pin path =
+  let* c = read_file path in
+  if not (String.equal c.kind kind) then
+    Error (Corrupt (Printf.sprintf "not a %s checkpoint: %S" kind c.kind))
+  else
+    match pin with
+    | None -> Ok c
+    | Some (name, expected) ->
+        let* got = section c name in
+        if String.equal got expected then Ok c
+        else Error (Corrupt "checkpoint does not match this run")
+
+let run_sections cpu h =
+  [ ("machine", machine_to_string cpu); ("host", host_to_string h) ]
+
+let restore_run cpu c =
+  let* h = section c "host" in
+  let* h = host_of_string h in
+  let* m = section c "machine" in
+  let* () = restore_machine cpu m in
+  Ok h

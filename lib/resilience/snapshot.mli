@@ -17,7 +17,30 @@
     programs are re-derived deterministically on restore (recompiled, or
     refilled from process images by {!Mips_os.Kernel.restore_sched}), which
     keeps checkpoints small and surfaces compiler version skew instead of
-    silently resurrecting stale code. *)
+    silently resurrecting stale code.
+
+    Every checkpoint file is written with {!save} and read back with
+    {!load}, which refuses a file of another kind or whose pinned section
+    differs from the reader's own.  The kinds on disk, their writers and
+    their sections (in order) are:
+
+{v
+ kind        file                 writer                   pin     sections
+ run         --checkpoint FILE    mipsc run                meta    meta machine host
+ mipsd-run   session-ID.ckpt      mipsd run job            meta    meta machine host
+ mipsd-meta  session-ID.meta      mipsd session journal    -       request
+ mipsd-done  session-ID.done      mipsd session journal    -       tenant response
+ soak        --checkpoint FILE,   Soak.run_checkpointed    params  params phase, then
+             session-ID.soak      (mipsc soak, mipsd soak)           machine sched progress
+                                                                     (phase kernel) or
+                                                                     summary diffs
+                                                                     (phase diffs, done)
+v}
+
+    A run's [meta] digests everything the run depends on (mipsc: source,
+    input and every knob; mipsd: the encoded request); a soak's [params]
+    is its full parameter set.  The journal's meta and done files are the
+    recovery roots and pin nothing. *)
 
 open Mips_machine
 open Mips_os
@@ -52,6 +75,17 @@ val write_file : string -> string -> unit
 
 val read_file : string -> (container, error) result
 
+val save : string -> kind:string -> (string * string) list -> int
+(** [save path ~kind sections] encodes the container, writes it with
+    {!write_file} and returns the number of bytes written.
+    @raise Sys_error when the file cannot be written. *)
+
+val load :
+  kind:string -> ?pin:string * string -> string -> (container, error) result
+(** [load ~kind ?pin path] reads a checkpoint file and returns [Corrupt]
+    unless its kind is [kind] and, with [pin = (name, expected)], its
+    section [name] is present and equal to [expected] byte for byte. *)
+
 (** {2 Payload codecs} *)
 
 val machine_to_string : Cpu.t -> string
@@ -66,6 +100,15 @@ val restore_machine : Cpu.t -> string -> (unit, error) result
 
 val host_to_string : Hosted.host_state -> string
 val host_of_string : string -> (Hosted.host_state, error) result
+
+val run_sections : Cpu.t -> Hosted.host_state -> (string * string) list
+(** The [machine] and [host] sections of a hosted run, in that order. *)
+
+val restore_run : Cpu.t -> container -> (Hosted.host_state, error) result
+(** Restore a hosted run's [machine] section into [cpu] (prepared as for
+    {!restore_machine}) and return its decoded [host] section — the
+    [resume] argument of {!Hosted.run}. *)
+
 val sched_to_string : Kernel.sched_snapshot -> string
 val sched_of_string : string -> (Kernel.sched_snapshot, error) result
 

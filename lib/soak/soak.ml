@@ -162,9 +162,10 @@ let bump assoc key =
   in
   go assoc
 
-let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
-    ?(data_frames = 16) ?(code_frames = 16) ?backing_limit
-    ?(steps = 2_000_000) ?engine ~plan ~seed () =
+(* the soak's kernel: [programs] generated processes, seeds derived from
+   [seed], under a hardened kernel with the given fault plan *)
+let make_kernel ~programs ?segments ~quantum ?watchdog ~data_frames
+    ~code_frames ?backing_limit ?engine ~plan ~seed () =
   let k =
     Mips_os.Kernel.create ~data_frames ~code_frames ~quantum ?watchdog
       ?backing_limit ~fault_plan:(Plan.make plan) ?engine ()
@@ -176,7 +177,9 @@ let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     in
     Mips_os.Kernel.spawn k ~name:(Progen.name ~seed:pseed) program
   done;
-  let r = Mips_os.Kernel.run ~fuel:steps k in
+  k
+
+let summarize ~seed ~programs ~steps k (r : Mips_os.Kernel.report) =
   let exited, killed, live, kill_reasons =
     List.fold_left
       (fun (e, ki, li, reasons) (p : Mips_os.Kernel.proc_report) ->
@@ -206,6 +209,15 @@ let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     fuel_exhausted = r.Mips_os.Kernel.fuel_exhausted;
     total_cycles = r.Mips_os.Kernel.total_cycles;
   }
+
+let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
+    ?(data_frames = 16) ?(code_frames = 16) ?backing_limit
+    ?(steps = 2_000_000) ?engine ~plan ~seed () =
+  let k =
+    make_kernel ~programs ?segments ~quantum ?watchdog ~data_frames
+      ~code_frames ?backing_limit ?engine ~plan ~seed ()
+  in
+  summarize ~seed ~programs ~steps k (Mips_os.Kernel.run ~fuel:steps k)
 
 let summary_json s =
   Json.Obj
@@ -378,47 +390,20 @@ let int_payload n =
   Snapshot.Io.W.int b n;
   Snapshot.Io.W.contents b
 
-let summary_of_report ~seed ~programs ~steps k (r : Mips_os.Kernel.report) =
-  let exited, killed, live, kill_reasons =
-    List.fold_left
-      (fun (e, ki, li, reasons) (p : Mips_os.Kernel.proc_report) ->
-        match (p.Mips_os.Kernel.exit_status, p.Mips_os.Kernel.killed) with
-        | Some _, _ -> (e + 1, ki, li, reasons)
-        | None, Some reason ->
-            (e, ki + 1, li, bump reasons (Mips_os.Kernel.kill_reason_name reason))
-        | None, None -> (e, ki, li + 1, reasons))
-      (0, 0, 0, []) r.Mips_os.Kernel.procs
-  in
-  {
-    seed;
-    programs;
-    steps;
-    exited;
-    killed;
-    live;
-    kill_reasons;
-    injected = Plan.counts (Cpu.fault_plan (Mips_os.Kernel.cpu k));
-    transient_faults = r.Mips_os.Kernel.transient_faults;
-    transient_retries = r.Mips_os.Kernel.transient_retries;
-    watchdog_kills = r.Mips_os.Kernel.watchdog_kills;
-    double_faults = r.Mips_os.Kernel.double_faults;
-    oom_kills = r.Mips_os.Kernel.oom_kills;
-    page_faults = r.Mips_os.Kernel.page_faults;
-    switches = r.Mips_os.Kernel.switches;
-    fuel_exhausted = r.Mips_os.Kernel.fuel_exhausted;
-    total_cycles = r.Mips_os.Kernel.total_cycles;
-  }
-
 type resilient_result = Complete of summary * diff list | Interrupted
+
+(* a checkpoint write that failed: the run stops with [Io_error] *)
+exception Write_failed of string
 
 let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     ?(data_frames = 16) ?(code_frames = 16) ?backing_limit
-    ?(steps = 2_000_000) ?(diff_count = 0) ?diff_jobs ?(diff_chunk = 4)
-    ?checkpoint ?(checkpoint_every = 250_000) ?resume
-    ?(obs = Mips_obs.Sink.null) ?max_slices ?(before_write = fun () -> ())
-    ?(engine = Cpu.Ref) ~plan ~seed () =
+    ?(steps = 2_000_000) ?(diff_count = 0) ?diff_jobs ?checkpoint
+    ?(checkpoint_every = 250_000) ?resume ?(obs = Mips_obs.Sink.null)
+    ?(tracer = Mips_obs.Span.no_tracer) ?max_slices
+    ?(before_write = fun () -> ()) ?(engine = Cpu.Ref) ~plan ~seed () =
   let open Snapshot in
   let checkpoint_every = max 1 checkpoint_every in
+  let sp = Mips_obs.Span.lane tracer 0 in
   let params =
     { p_seed = seed; p_programs = programs; p_segments = segments;
       p_quantum = quantum; p_watchdog = watchdog; p_data_frames = data_frames;
@@ -427,53 +412,34 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
       p_engine = engine }
   in
   let params_str = params_to_string params in
+  (* [sections] is only forced when there is a file to write *)
   let write_ckpt ~phase ~progress sections =
     match checkpoint with
     | None -> ()
     | Some path ->
-        let data =
-          encode
-            { kind = "soak";
-              sections =
-                ("params", params_str) :: ("phase", phase) :: sections }
-        in
         before_write ();
-        write_file path data;
+        let bytes =
+          try
+            save path ~kind:"soak"
+              (("params", params_str) :: ("phase", phase) :: sections ())
+          with Sys_error m -> raise (Write_failed m)
+        in
         Mips_obs.Metrics.incr Supervise.metrics "checkpoint.writes";
         if Mips_obs.Sink.enabled obs then
           Mips_obs.Sink.emit obs
             (Mips_obs.Event.Checkpoint_write
-               { path; phase; steps = progress; bytes = String.length data })
+               { path; phase; steps = progress; bytes })
   in
   let make_kernel () =
-    let k =
-      Mips_os.Kernel.create ~data_frames ~code_frames ~quantum ?watchdog
-        ?backing_limit ~fault_plan:(Plan.make plan) ~engine ()
-    in
-    for i = 0 to programs - 1 do
-      let pseed = (seed * 0x1000) + i in
-      let program =
-        Mips_reorg.Pipeline.compile (Progen.generate ?segments ~seed:pseed ())
-      in
-      Mips_os.Kernel.spawn k ~name:(Progen.name ~seed:pseed) program
-    done;
-    k
+    make_kernel ~programs ?segments ~quantum ?watchdog ~data_frames
+      ~code_frames ?backing_limit ~engine ~plan ~seed ()
   in
   (* entry state: a fresh kernel, or whatever the resumed checkpoint holds *)
   let start_state =
     match resume with
     | None -> Ok (`Kernel (make_kernel (), 0))
     | Some path ->
-        let* c = read_file path in
-        let* () =
-          if String.equal c.kind "soak" then Ok ()
-          else Error (Corrupt (Printf.sprintf "not a soak checkpoint: %S" c.kind))
-        in
-        let* stored = section c "params" in
-        let* () =
-          if String.equal stored params_str then Ok ()
-          else Error (Corrupt "checkpoint parameters do not match this run")
-        in
+        let* c = load ~kind:"soak" ~pin:("params", params_str) path in
         let* phase = section c "phase" in
         let restored st progress =
           Mips_obs.Metrics.incr Supervise.metrics "checkpoint.restores";
@@ -509,7 +475,7 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
               (List.length ds)
         | other -> Error (Corrupt (Printf.sprintf "unknown phase %S" other)))
   in
-  let kernel_sections k steps_done =
+  let kernel_sections k steps_done () =
     [ ("machine", machine_to_string (Mips_os.Kernel.cpu k));
       ("sched", sched_to_string (Mips_os.Kernel.sched_snapshot k));
       ("progress", int_payload steps_done) ]
@@ -541,13 +507,17 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     if !interrupted then Interrupted
     else
       Complete
-        ( summary_of_report ~seed ~programs ~steps k (Mips_os.Kernel.report k),
-          [] )
+        (summarize ~seed ~programs ~steps k (Mips_os.Kernel.report k), [])
   in
-  (* Differential seeds run in supervised chunks; a quarantined seed is
-     attributed in place so one poisoned job cannot sink the sweep. *)
+  (* Differential seeds run supervised; a quarantined seed is attributed in
+     place so one poisoned job cannot sink the sweep.  With a checkpoint
+     file the seeds go in chunks of four, each followed by a checkpoint;
+     without one the sweep is a single map. *)
+  let diff_chunk = if checkpoint = None then max 1 diff_count else 4 in
+  (* Ref means "historical default": the kernel interprets, the
+     differential still exercises the fast engine *)
+  let diff_engine = match engine with Cpu.Ref -> Cpu.Fast | e -> e in
   let diff_phase s done_diffs =
-    let sum_str = summary_to_string s in
     let rec go acc i =
       if i >= diff_count then List.rev acc
       else begin
@@ -556,12 +526,7 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
         let outs =
           Supervise.supervised_map ?jobs:diff_jobs ~obs
             ~label:(fun s -> Printf.sprintf "diff:%d" s)
-            (fun s ->
-              (* Ref means "historical default": the kernel interprets, the
-                 differential still exercises the fast engine — keeps the
-                 checkpointed JSON byte-identical to the two-phase path. *)
-              let engine = match engine with Cpu.Ref -> Cpu.Fast | e -> e in
-              differential ?segments ~engine ~seed:s ())
+            (fun s -> differential ?segments ~engine:diff_engine ~seed:s ())
             seeds
         in
         let ds =
@@ -577,29 +542,38 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
         in
         let acc = List.rev_append ds acc in
         if i + n < diff_count then
-          write_ckpt ~phase:"diffs" ~progress:(i + n)
-            [ ("summary", sum_str);
-              ("diffs", diffs_to_string (List.rev acc)) ];
+          write_ckpt ~phase:"diffs" ~progress:(i + n) (fun () ->
+              [ ("summary", summary_to_string s);
+                ("diffs", diffs_to_string (List.rev acc)) ]);
         go acc (i + n)
       end
     in
-    go (List.rev done_diffs) (List.length done_diffs)
+    Mips_obs.Span.with_ sp "differential" (fun () ->
+        go (List.rev done_diffs) (List.length done_diffs))
+  in
+  let finish = function
+    | Complete (s, ds) as result ->
+        write_ckpt ~phase:"done" ~progress:steps (fun () ->
+            [ ("summary", summary_to_string s);
+              ("diffs", diffs_to_string ds) ]);
+        result
+    | Interrupted -> Interrupted
   in
   match start_state with
   | Error e -> Error e
-  | Ok st ->
-      let result =
-        match st with
-        | `Kernel (k, steps_done) -> (
-            match kernel_phase k steps_done with
-            | Interrupted -> Interrupted
-            | Complete (s, _) -> Complete (s, diff_phase s []))
-        | `Diffs (s, ds) -> Complete (s, diff_phase s ds)
-        | `Finished (s, ds) -> Complete (s, ds)
-      in
-      (match result with
-      | Complete (s, ds) ->
-          write_ckpt ~phase:"done" ~progress:steps
-            [ ("summary", summary_to_string s); ("diffs", diffs_to_string ds) ]
-      | Interrupted -> ());
-      Ok result
+  | Ok st -> (
+      match
+        finish
+          (match st with
+          | `Kernel (k, steps_done) -> (
+              match
+                Mips_obs.Span.with_ sp "kernel_soak" (fun () ->
+                    kernel_phase k steps_done)
+              with
+              | Interrupted -> Interrupted
+              | Complete (s, _) -> Complete (s, diff_phase s []))
+          | `Diffs (s, ds) -> Complete (s, diff_phase s ds)
+          | `Finished (s, ds) -> Complete (s, ds))
+      with
+      | result -> Ok result
+      | exception Write_failed m -> Error (Io_error m))

@@ -111,8 +111,8 @@ val result_json : summary -> diff list -> Mips_obs.Json.t
     the kernel executes in slices whose loop state lives in the kernel
     itself, programs are regenerated from their seeds on resume, and
     {!Mips_os.Kernel.restore_sched} + {!Mips_resilience.Snapshot.restore_machine}
-    reinstate the exact machine.  Differential seeds run in supervised
-    chunks: a seed whose job is quarantined is attributed in place
+    reinstate the exact machine.  Differential seeds run supervised: a
+    seed whose job is quarantined is attributed in place
     ([mismatches = [("supervisor", error)]]) instead of sinking the sweep. *)
 
 type resilient_result =
@@ -123,26 +123,38 @@ type resilient_result =
 val run_checkpointed :
   ?programs:int -> ?segments:int -> ?quantum:int -> ?watchdog:int ->
   ?data_frames:int -> ?code_frames:int -> ?backing_limit:int -> ?steps:int ->
-  ?diff_count:int -> ?diff_jobs:int -> ?diff_chunk:int ->
+  ?diff_count:int -> ?diff_jobs:int ->
   ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
-  ?obs:Mips_obs.Sink.t -> ?max_slices:int ->
+  ?obs:Mips_obs.Sink.t -> ?tracer:Mips_obs.Span.tracer -> ?max_slices:int ->
   ?before_write:(unit -> unit) ->
   ?engine:Mips_machine.Cpu.engine ->
   plan:Mips_fault.Plan.config -> seed:int -> unit ->
   (resilient_result, Mips_resilience.Snapshot.error) result
-(** Run the soak, checkpointing to [checkpoint] every [checkpoint_every]
-    kernel steps (default 250,000) and after each differential chunk
-    (default [diff_chunk = 4] seeds); a final "done" checkpoint is written
-    at completion, so resuming always works no matter when the previous
-    process died.  [resume] restores from a checkpoint written by the
-    {e same} parameters (byte-compared; mismatch is [Corrupt]).
-    [max_slices] interrupts the kernel phase after that many slices —
-    a deterministic in-process kill for tests.  [before_write] runs
-    immediately before each checkpoint file write — the crash-point hook
-    [mipsd]'s recovery harness uses to enumerate every journal write
-    boundary (an exception raised there aborts the run {e before} the
-    write lands).  With [diff_count = 0] the
-    result's diff list is empty and [Complete (s, [])] carries the same
-    summary {!run_soak} returns.  [engine] (default [Ref]) drives both the
-    kernel phase and the differential phase's alternate-engine variants,
-    and is part of the byte-compared checkpoint parameters. *)
+(** Run the soak: the kernel phase ({!run_soak}'s kernel and summary), then
+    [diff_count] supervised differential seeds.  This is the one soak
+    runner behind [mipsc soak] and [mipsd soak]; without [checkpoint] and
+    [resume] it writes and reads nothing, and the differential phase is a
+    single supervised map.
+
+    With [checkpoint] the run writes a "soak" checkpoint every
+    [checkpoint_every] kernel steps (default 250,000) and after each chunk
+    of four differential seeds; a final "done" checkpoint is written at
+    completion, so resuming always works no matter when the previous
+    process died.  A write that fails returns [Io_error].  [resume]
+    restores from a checkpoint written by the {e same} parameters
+    (byte-compared; mismatch is [Corrupt]).  [max_slices] interrupts the
+    kernel phase after that many slices — a deterministic in-process kill
+    for tests.  [before_write] runs immediately before each checkpoint
+    file write — the crash-point hook [mipsd]'s recovery harness uses to
+    enumerate every journal write boundary (an exception raised there
+    propagates and aborts the run {e before} the write lands).  With
+    [tracer], the kernel and differential phases are timed as the spans
+    "kernel_soak" and "differential" on lane 0.
+
+    With [diff_count = 0] the result's diff list is empty and
+    [Complete (s, [])] carries the same summary {!run_soak} returns.
+    [engine] (default [Ref]) drives the kernel phase and the differential
+    phase's alternate-engine variants ([Ref] selects {!Mips_machine.Cpu.Fast}
+    there, the historical split), and is part of the byte-compared
+    checkpoint parameters.  A differential seed that raises is attributed
+    as [mismatches = [("supervisor", error)]]. *)

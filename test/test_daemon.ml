@@ -615,6 +615,69 @@ let test_server_session_crash_recovery () =
        (Protocol.encode_response solo)
        (Protocol.encode_response again))
 
+(* Every checkpoint kind's kind string and section names, in order, as
+   written by the real writers.  Checkpoints and journals outlive the
+   build that wrote them, so a refactor that renames or reorders any of
+   these orphans files already on disk. *)
+let test_checkpoint_formats_pinned () =
+  let module Snapshot = Mips_resilience.Snapshot in
+  let layout path =
+    match Snapshot.read_file path with
+    | Ok c -> (c.Snapshot.kind, List.map fst c.Snapshot.sections)
+    | Error e -> Alcotest.failf "%s: %s" path (Snapshot.error_to_string e)
+  in
+  let pinned what expected path =
+    check (what ^ " layout") true (layout path = expected)
+  in
+  (* mipsd: a crashed session leaves .meta + .ckpt, a finished one .done *)
+  let state_dir = temp_dir () in
+  let file ext = Filename.concat state_dir ("session-fmt" ^ ext) in
+  (with_server ~state_dir ~checkpoint_every:2_000 ~crash_after:1
+  @@ fun socket _t ->
+  match request socket (run_req ~session:"fmt" slow_sum_source) with
+  | Protocol.Err (Protocol.Internal, _) -> ()
+  | resp -> Alcotest.failf "crash hook: %s" (kind_of resp));
+  pinned "mipsd-meta" ("mipsd-meta", [ "request" ]) (file ".meta");
+  pinned "mipsd-run" ("mipsd-run", [ "meta"; "machine"; "host" ]) (file ".ckpt");
+  (with_server ~state_dir ~checkpoint_every:2_000 @@ fun socket _t ->
+   ignore (request socket (Protocol.Collect { tenant = "t0"; session = "fmt" })));
+  pinned "mipsd-done" ("mipsd-done", [ "tenant"; "response" ]) (file ".done");
+  (* soak: a kernel-phase checkpoint, then the final one *)
+  let soak = Filename.concat state_dir "fmt.soak" in
+  let run_soak ?max_slices () =
+    Mips_soak.Soak.run_checkpointed ~programs:4 ~segments:120 ~steps:100_000
+      ~diff_count:1 ~checkpoint:soak ~checkpoint_every:400 ?max_slices
+      ~plan:{ Mips_fault.Plan.quiet with Mips_fault.Plan.seed = 3 }
+      ~seed:3 ()
+  in
+  let phase () =
+    match Snapshot.read_file soak with
+    | Ok c -> Result.get_ok (Snapshot.section c "phase")
+    | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+  in
+  ignore (run_soak ~max_slices:1 ());
+  check_string "soak kernel phase" "kernel" (phase ());
+  pinned "soak (kernel)"
+    ("soak", [ "params"; "phase"; "machine"; "sched"; "progress" ])
+    soak;
+  ignore (run_soak ());
+  check_string "soak done phase" "done" (phase ());
+  pinned "soak (done)" ("soak", [ "params"; "phase"; "summary"; "diffs" ]) soak;
+  (* mipsc run: the CLI writes its own kind, and refuses to resume it
+     under different arguments (exit 5) *)
+  let run = Filename.concat state_dir "fmt.run" in
+  let mipsc args =
+    let exe =
+      Filename.concat (Filename.dirname Sys.executable_name) "../bin/mipsc.exe"
+    in
+    Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" exe args)
+  in
+  check_int "checkpointed run exits 0" 0
+    (mipsc ("run hanoi --checkpoint " ^ run ^ " --checkpoint-every 20000"));
+  pinned "run" ("run", [ "meta"; "machine"; "host" ]) run;
+  check_int "resume under another -O exits 5" 5
+    (mipsc ("run hanoi -O 2 --resume " ^ run))
+
 let test_server_unknown_session_and_ownership () =
   let state_dir = temp_dir () in
   with_server ~state_dir @@ fun socket _t ->
@@ -762,6 +825,8 @@ let suite =
           test_server_bad_frames_do_not_kill;
         tc_slow "crash recovery is bit-identical"
           test_server_session_crash_recovery;
+        tc_slow "checkpoint kinds and sections pinned"
+          test_checkpoint_formats_pinned;
         tc_slow "unknown session and ownership"
           test_server_unknown_session_and_ownership;
         tc_slow "daemon soak equals local soak" test_server_soak_matches_local;

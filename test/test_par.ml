@@ -1,6 +1,6 @@
 (* The parallel evaluation harness: the Domain pool's determinism contract
    (ordered results, jobs-independent output, lowest-failing-index
-   exceptions, race-free metrics), the associative-merge algebra it leans
+   exceptions), the associative-merge algebra it leans
    on (Stats.merge), the artifact cache's physical sharing, and the
    end-to-end claim: `report --json` is byte-identical for any --jobs. *)
 
@@ -48,23 +48,6 @@ let test_map_reduce_ordered () =
   check_int "sum via map_reduce" 4950
     (Mips_par.map_reduce ~jobs:3 ~map:Fun.id ~merge:( + ) ~zero:0
        (List.init 100 Fun.id))
-
-let test_map_obs_merges_sinks () =
-  let obs = Mips_obs.Metrics.create () in
-  let results =
-    Mips_par.map_obs ~jobs:4 ~obs
-      (fun ~obs i ->
-        Mips_obs.Metrics.incr obs "par.work";
-        Mips_obs.Metrics.add obs "par.total" i;
-        i * 2)
-      (List.init 50 Fun.id)
-  in
-  Alcotest.(check (list int)) "results ordered"
-    (List.init 50 (fun i -> i * 2))
-    results;
-  check_int "every item counted once" 50 (Mips_obs.Metrics.count obs "par.work");
-  check_int "adds survive the merge" 1225
-    (Mips_obs.Metrics.count obs "par.total")
 
 (* --- Stats.merge algebra --------------------------------------------------- *)
 
@@ -237,8 +220,7 @@ let suite =
       [ tc "ordered results" test_map_order;
         tc "edge cases" test_map_edges;
         tc "lowest failing index" test_exception_lowest_index;
-        tc "ordered map_reduce" test_map_reduce_ordered;
-        tc "metrics sinks merge" test_map_obs_merges_sinks ] );
+        tc "ordered map_reduce" test_map_reduce_ordered ] );
     ( "par:stats-merge",
       qsuite [ merge_associative; merge_identity; merge_preserves_operands ] );
     ( "par:artifact",

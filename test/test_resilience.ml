@@ -85,6 +85,58 @@ let test_read_file_missing () =
   | Error (Snapshot.Io_error _) -> ()
   | _ -> Alcotest.fail "expected Io_error"
 
+(* --- checkpoint files: the one kind-then-pin check --------------------------- *)
+
+let with_temp f =
+  let path = Filename.temp_file "ckpt" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let test_load_typed_errors () =
+  with_temp @@ fun path ->
+  let sections = [ ("meta", "pinned"); ("host", "h") ] in
+  let bytes = Snapshot.save path ~kind:"run" sections in
+  check_int "save returns the bytes written"
+    (In_channel.with_open_bin path (fun ic ->
+         Int64.to_int (In_channel.length ic)))
+    bytes;
+  (match Snapshot.load ~kind:"run" ~pin:("meta", "pinned") path with
+  | Ok c -> check "matching kind and pin load" true (c.Snapshot.sections = sections)
+  | Error e -> Alcotest.fail (Snapshot.error_to_string e));
+  let expect what load =
+    match load with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e -> e
+  in
+  (match expect "wrong kind" (Snapshot.load ~kind:"soak" path) with
+  | Snapshot.Corrupt m -> check_string "wrong kind" "not a soak checkpoint: \"run\"" m
+  | e -> Alcotest.failf "wrong kind: %s" (Snapshot.error_to_string e));
+  (match
+     expect "pin mismatch"
+       (Snapshot.load ~kind:"run" ~pin:("meta", "other") path)
+   with
+  | Snapshot.Corrupt m -> check_string "pin mismatch" "checkpoint does not match this run" m
+  | e -> Alcotest.failf "pin mismatch: %s" (Snapshot.error_to_string e));
+  (match
+     expect "missing pin section"
+       (Snapshot.load ~kind:"run" ~pin:("params", "pinned") path)
+   with
+  | Snapshot.Corrupt m -> check_string "missing pin section" "missing section params" m
+  | e -> Alcotest.failf "missing pin section: %s" (Snapshot.error_to_string e));
+  (match expect "missing file" (Snapshot.load ~kind:"run" (path ^ ".absent")) with
+  | Snapshot.Io_error _ -> ()
+  | e -> Alcotest.failf "missing file: %s" (Snapshot.error_to_string e));
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let truncate len =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub data 0 len));
+    expect "truncated file" (Snapshot.load ~kind:"run" path)
+  in
+  check "cut inside the magic is Truncated" true (truncate 5 = Snapshot.Truncated);
+  check "cut inside the body fails the digest" true
+    (truncate (String.length data - 3) = Snapshot.Checksum_mismatch)
+
 (* --- machine snapshot round-trip ------------------------------------------- *)
 
 (* Partially execute a generated program, snapshot the machine, restore
@@ -206,6 +258,9 @@ let test_soak_kill_resume () =
       ~plan:soak_plan ~seed:23 ()
   in
   check "checkpointed summary equals run_soak" true (fst uninterrupted = plain);
+  check "unchunked supervised diffs equal differential_sweep" true
+    (snd uninterrupted
+    = Mips_soak.Soak.differential_sweep ~segments:120 ~seed:23 ~count:3 ());
   (* kill after 2 slices (an in-process stand-in for SIGKILL) ... *)
   (match run_ckpt ~checkpoint:path ~max_slices:2 () with
   | Ok Mips_soak.Soak.Interrupted -> ()
@@ -235,6 +290,23 @@ let test_soak_resume_param_mismatch () =
   with
   | Error (Snapshot.Corrupt _) -> ()
   | _ -> Alcotest.fail "parameter mismatch accepted"
+
+let test_soak_unwritable_checkpoint () =
+  (* a checkpoint write that fails is a typed error, not an exception ... *)
+  (match run_ckpt ~checkpoint:"/nonexistent-dir/soak.ckpt" () with
+  | Error (Snapshot.Io_error _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Snapshot.error_to_string e)
+  | Ok _ -> Alcotest.fail "unwritable checkpoint accepted");
+  (* ... while the crash hook before each write still propagates *)
+  with_temp @@ fun path ->
+  match
+    Mips_soak.Soak.run_checkpointed ~programs:4 ~segments:120 ~steps:100_000
+      ~checkpoint:path ~checkpoint_every:400
+      ~before_write:(fun () -> raise Exit)
+      ~plan:soak_plan ~seed:23 ()
+  with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "before_write exception swallowed"
 
 (* --- supervised jobs ------------------------------------------------------- *)
 
@@ -378,6 +450,7 @@ let suite =
         tc "decode bad magic" test_decode_bad_magic;
         tc "decode bad version" test_decode_bad_version;
         tc "read_file missing" test_read_file_missing;
+        tc "load typed errors" test_load_typed_errors;
         tc "machine round-trip" test_machine_roundtrip;
         tc "machine payload fuzz" test_machine_snapshot_fuzz ]
       @ qsuite
@@ -386,7 +459,8 @@ let suite =
     ( "resilience.checkpoint",
       [ tc_slow "hosted resume bit-identical" test_hosted_resume_bit_identical;
         tc_slow "soak kill/resume bit-identical" test_soak_kill_resume;
-        tc "soak resume parameter mismatch" test_soak_resume_param_mismatch ] );
+        tc "soak resume parameter mismatch" test_soak_resume_param_mismatch;
+        tc "soak unwritable checkpoint" test_soak_unwritable_checkpoint ] );
     ( "resilience.supervise",
       [ tc "fault-free identity" test_supervise_fault_free_identity;
         tc "retry then succeed" test_supervise_retry_then_succeed;
