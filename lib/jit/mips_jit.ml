@@ -56,6 +56,24 @@ let hot_threshold = 32
 let max_trace_words = 128
 let min_trace_words = 3
 
+(* Data loads index [Cpu]'s chunk table here, on a physical word the
+   fragment has already bounds-checked.  Builds that compile modules
+   opaquely (dune's dev profile) can neither inline a [Cpu] function into
+   this module nor see [Cpu.data_chunk_bits] as a constant, and a load is
+   a hot path: the chunk geometry is restated as literals (a shift by a
+   variable measurably slowed byte-machine traces) and checked against
+   [Cpu]'s at start-up.  Stores call [Cpu.store_data] / [Cpu.store_byte],
+   the one place that tests for the shared zero chunk. *)
+let chunk_bits = 8
+let chunk_mask = 0xff
+
+let () =
+  if chunk_bits <> Cpu.data_chunk_bits || chunk_mask <> Cpu.data_chunk_words - 1
+  then failwith "Mips_jit: data chunk geometry differs from Cpu's"
+
+let[@inline] load_data t p =
+  Array.unsafe_get (Array.unsafe_get t.dmem (p lsr chunk_bits)) (p land chunk_mask)
+
 (* ------------------------------------------------------------------ *)
 (* Trace scanning *)
 
@@ -118,13 +136,22 @@ exception Guard_exit
    or — [term = None] — the pc execution falls to when the trace ends
    without one (sequential context there by construction). *)
 let scan t entry_pc =
-  let imem = t.imem and notes = t.notes in
+  let notes = t.notes in
+  let lower pc =
+    let e = t.jit_pre.(pc) in
+    if e != jit_unlowered then e
+    else begin
+      let e = Predecode.lower t.imem.(pc) in
+      t.jit_pre.(pc) <- e;
+      e
+    end
+  in
   let byte = t.cfg.byte_addressed in
   let limit = Array.length t.jit_code in
   let rec go pc i acc =
     if i >= max_trace_words || pc >= limit then (List.rev acc, None, pc)
     else
-      let e = Predecode.lower imem.(pc) in
+      let e = lower pc in
       if Predecode.ends_block e then
         if e.Predecode.is_trap || not (pieces_ok ~byte e) then (List.rev acc, None, pc)
         else begin
@@ -138,7 +165,7 @@ let scan t entry_pc =
               let spc = pc + j in
               if spc >= limit then None
               else
-                let se = Predecode.lower imem.(spc) in
+                let se = lower spc in
                 if plain_ok ~byte se then slots (j + 1) (spc :: acc') else None
           in
           match slots 1 [] with
@@ -183,7 +210,7 @@ let scan t entry_pc =
                     List.mapi
                       (fun idx spc ->
                         let s = idx + 1 in
-                        { sw = { tw_e = Predecode.lower imem.(spc);
+                        { sw = { tw_e = lower spc;
                                  tw_note = notes.(spc) };
                           sw_pc = spc; sw_c1 = q s 1; sw_c2 = q s 2;
                           sw_ctl = CNone })
@@ -202,7 +229,7 @@ let scan t entry_pc =
                   in
                   let spc = List.hd sl in
                   let slw =
-                    { sw = { tw_e = Predecode.lower imem.(spc);
+                    { sw = { tw_e = lower spc;
                              tw_note = notes.(spc) };
                       sw_pc = spc; sw_c1 = spc + 1; sw_c2 = spc + 2;
                       sw_ctl = CGSlot }
@@ -212,7 +239,7 @@ let scan t entry_pc =
                   let term_slots =
                     List.map
                       (fun spc ->
-                        { tw_e = Predecode.lower imem.(spc);
+                        { tw_e = lower spc;
                           tw_note = notes.(spc) })
                       sl
                   in
@@ -484,7 +511,7 @@ let flat_alu_frag ~k a =
 let flat_load_frag ~k ~dmem_words addr =
   let[@inline] ld t p =
     if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
-    t.jit_pv <- Array.unsafe_get t.dmem p
+    t.jit_pv <- load_data t p
   in
   match addr with
   | Mem.Abs c ->
@@ -526,7 +553,7 @@ let flat_store_frag ~k ~dmem_words src addr =
   let s = Reg.to_int src in
   let[@inline] st t p =
     if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
-    Array.unsafe_set t.dmem p (Array.unsafe_get t.regs s)
+    store_data t p (Array.unsafe_get t.regs s)
   in
   match addr with
   | Mem.Abs c ->
@@ -605,12 +632,8 @@ let flat_mx cfg e =
   | m -> compile_mem cfg m
 
 (* Byte-lane data accesses at a flat byte address ([flat_addr_b], W8). *)
-let[@inline] load_byte t a =
-  Word32.get_byte (Array.unsafe_get t.dmem (a lsr 2)) (a land 3)
-
-let[@inline] store_byte t a v =
-  let p = a lsr 2 in
-  Array.unsafe_set t.dmem p (Word32.set_byte (Array.unsafe_get t.dmem p) (a land 3) v)
+let[@inline] load_byte t a = Word32.get_byte (load_data t (a lsr 2)) (a land 3)
+let[@inline] store_byte_at t a v = store_byte t (a lsr 2) (a land 3) v
 
 let flat_bx e =
   match e.Predecode.branch with
@@ -713,7 +736,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           t.jit_k <- k;
           let a = fp t in
           pf t;
-          t.jit_pv <- Array.unsafe_get t.dmem a
+          t.jit_pv <- load_data t a
     | MXload_w (_, fp), AXreg (da, f) ->
         fun t ->
           t.jit_k <- k;
@@ -721,13 +744,13 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           let v = f t in
           pf t;
           Array.unsafe_set t.regs da v;
-          t.jit_pv <- Array.unsafe_get t.dmem a
+          t.jit_pv <- load_data t a
     | MXstore_w (src, fp), AXnone ->
         fun t ->
           t.jit_k <- k;
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
-          Array.unsafe_set t.dmem a sv;
+          store_data t a sv;
           pf t
     | MXstore_w (src, fp), AXreg (da, f) ->
         fun t ->
@@ -735,7 +758,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
           let v = f t in
-          Array.unsafe_set t.dmem a sv;
+          store_data t a sv;
           pf t;
           Array.unsafe_set t.regs da v
     | MXload_b (_, fp), AXnone ->
@@ -757,7 +780,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           t.jit_k <- k;
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
-          store_byte t a sv;
+          store_byte_at t a sv;
           pf t
     | MXstore_b (src, fp), AXreg (da, f) ->
         fun t ->
@@ -765,7 +788,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
           let v = f t in
-          store_byte t a sv;
+          store_byte_at t a sv;
           pf t;
           Array.unsafe_set t.regs da v
     | _ -> assert false (* special shapes excluded by [pieces_ok] *)
@@ -829,14 +852,14 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
               t.sc_target <- t.regs.(r)
           | BXnone | BXtrap _ -> assert false);
           (match mx with
-          | MXstore_w _ -> t.dmem.(t.sc_a) <- t.sc_b
-          | MXstore_b _ -> store_byte t t.sc_a t.sc_b
+          | MXstore_w _ -> store_data t t.sc_a t.sc_b
+          | MXstore_b _ -> store_byte_at t t.sc_a t.sc_b
           | _ -> ());
           pf t;
           (match ax with AXreg (d, _) -> t.regs.(d) <- t.sc_v | _ -> ());
           (match mx with
           | MXlimm (d, c) -> t.regs.(d) <- c
-          | MXload_w (_, _) -> t.jit_pv <- t.dmem.(t.sc_a)
+          | MXload_w (_, _) -> t.jit_pv <- load_data t t.sc_a
           | MXload_b (_, _) -> t.jit_pv <- load_byte t t.sc_a
           | _ -> ());
           (match bx with
@@ -894,7 +917,7 @@ let gen_load_use ~k ~pend_in ~byte d fp da f mx ax =
     t.jit_k <- k;
     let a = fp t in
     pf t;
-    let v = t.dmem.(a) in
+    let v = load_data t a in
     t.jit_pv <- v;
     t.jit_k <- k + 1;
     let v2 = f t in
@@ -1254,13 +1277,13 @@ let compile t entry_pc =
                   DFrag
                     (fun t ->
                       t.jit_k <- kk;
-                      t.jit_pv <- Array.unsafe_get t.dmem (fp t))
+                      t.jit_pv <- load_data t (fp t))
               | MXstore_w (s, fp), None when t.cfg.byte_addressed ->
                   DFrag
                     (fun t ->
                       t.jit_k <- kk;
                       let a = fp t in
-                      Array.unsafe_set t.dmem a (Array.unsafe_get t.regs s))
+                      store_data t a (Array.unsafe_get t.regs s))
               | MXload_b (_, fp), None ->
                   DFrag
                     (fun t ->
@@ -1271,7 +1294,7 @@ let compile t entry_pc =
                     (fun t ->
                       t.jit_k <- kk;
                       let a = fp t in
-                      store_byte t a (Array.unsafe_get t.regs s))
+                      store_byte_at t a (Array.unsafe_get t.regs s))
               | MXload_w (_, _), None -> (
                   match e.Predecode.mem with
                   | Some (Mem.Load (Mem.W32, addr, _)) ->

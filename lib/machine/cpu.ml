@@ -30,9 +30,9 @@ let interlocked_config = { default_config with interlock = true }
      statistics themselves, so a profiled run's [Stats] are byte-identical
      to an unprofiled one's. *)
 type profile = {
-  pr_counts : int array;  (* executed words per pc *)
-  pr_stalls : int array;  (* stall cycles charged at pc *)
-  pr_shadow : int array;  (* executions of pc inside a taken branch's shadow *)
+  mutable pr_counts : int array;  (* executed words per pc *)
+  mutable pr_stalls : int array;  (* stall cycles charged at pc *)
+  mutable pr_shadow : int array;  (* executions of pc inside a taken branch's shadow *)
   pr_edges : (int * int, int) Hashtbl.t;  (* (branch pc, target) -> taken *)
   mutable pr_shadow_pending : int;
   mutable pr_other_cycles : int;
@@ -53,9 +53,14 @@ type t = {
   mutable pend_r : int;
   mutable pend_v : int;
   mutable last_load_writes : Reg.Set.t;  (* interlock-mode stall detection *)
-  imem : int Word.t array;
-  notes : Note.t array;
-  dmem : int array;
+  (* instruction memory and its per-word notes, sized to the code touched
+     so far and grown by [grow_code]; words past their length up to
+     [imem_words] read as [Nop] / [Note.plain] *)
+  mutable imem : int Word.t array;
+  mutable notes : Note.t array;
+  (* data memory as a table of [data_chunk_words]-word chunks; a chunk no
+     nonzero store has reached is the shared, read-only [zero_chunk] *)
+  dmem : int array array;
   pagemap : Pagemap.t;
   mutable interrupt_line : bool;
   mutable fault : fault_kind option;
@@ -72,7 +77,7 @@ type t = {
   mutable delay_pending : int;
   (* fast engine: per-word compiled closures, kept in sync with [imem]
      ([stale] marks a slot whose word changed since it was last compiled) *)
-  xcode : (t -> unit) array;
+  mutable xcode : (t -> unit) array;
   (* fast-engine scratch slots: compute-phase results parked here so the
      commit phase can pick them up without allocating effect records *)
   mutable sc_a : int;  (* resolved physical address (byte ops: phys*4+lane) *)
@@ -96,7 +101,9 @@ type t = {
      when they were armed; pcs at or above it run on [step_fast].  [jit_k]
      and [jit_pv] are fault-recovery scratch: the body index reached and the
      in-flight delayed-load value of the trace being executed.  [jit_cov]
-     counts which engine ran each word of a jit run. *)
+     counts which engine ran each word of a jit run.  [jit_pre] caches each
+     word's {!Predecode.lower} for the trace scanner ([jit_unlowered] until
+     first scanned, and again after the word is written). *)
   mutable code_hi : int;
   mutable jit_on : bool;
   mutable jit_code : (t -> int -> int) array;
@@ -104,6 +111,7 @@ type t = {
   mutable jit_counts : int array;
   mutable jit_cover : int list array;
   mutable jit_nospec : Bytes.t;
+  mutable jit_pre : Predecode.entry array;
   mutable jit_k : int;
   mutable jit_pv : int;
   jit_cov : coverage;
@@ -157,6 +165,10 @@ let stale (_ : t) = ()
    Recognized with [==]; returns its fuel untouched if ever called. *)
 let jit_stale (_ : t) (fuel : int) = fuel
 
+(* Jit-engine sentinel: marks a [jit_pre] slot not lowered yet.  A lowering
+   of its own, recognized with [==]. *)
+let jit_unlowered = Predecode.lower Word.Nop
+
 (* Shared placeholder for machines not being profiled: zero-length arrays,
    never written while [prof_on] is false. *)
 let no_profile =
@@ -166,6 +178,19 @@ let no_profile =
     pr_edges = Hashtbl.create 1;
     pr_shadow_pending = 0;
     pr_other_cycles = 0 }
+
+(* Data memory is split into host-side chunks, unrelated to the guest
+   [Pagemap]'s pages.  Every chunk starts as [zero_chunk], which is shared
+   by all machines and never written: loads read it as zeros, and
+   [store_data] gives a chunk its own array on the first nonzero store.
+   256 words is the largest block OCaml allocates on the minor heap, so a
+   chunk materialized mid-run is a young allocation; 1K- and 4K-word
+   chunks went straight to the major heap and measurably slowed the short
+   runs that materialized them. *)
+let data_chunk_bits = 8
+let data_chunk_words = 1 lsl data_chunk_bits
+let chunk_mask = data_chunk_words - 1
+let zero_chunk : int array = Array.make data_chunk_words 0
 
 let create ?(config = default_config) () =
   {
@@ -181,9 +206,9 @@ let create ?(config = default_config) () =
     pend_r = -1;
     pend_v = 0;
     last_load_writes = Reg.Set.empty;
-    imem = Array.make config.imem_words Word.Nop;
-    notes = Array.make config.imem_words Note.plain;
-    dmem = Array.make config.dmem_words 0;
+    imem = [||];
+    notes = [||];
+    dmem = Array.make ((config.dmem_words + chunk_mask) lsr data_chunk_bits) zero_chunk;
     pagemap = Pagemap.create ();
     interrupt_line = false;
     fault = None;
@@ -196,7 +221,7 @@ let create ?(config = default_config) () =
     prev_pc = -1;
     prev_word = Word.Nop;
     delay_pending = 0;
-    xcode = Array.make config.imem_words stale;
+    xcode = [||];
     sc_a = 0;
     sc_b = 0;
     sc_v = 0;
@@ -212,6 +237,7 @@ let create ?(config = default_config) () =
     jit_counts = [||];
     jit_cover = [||];
     jit_nospec = Bytes.empty;
+    jit_pre = [||];
     jit_k = 0;
     jit_pv = 0;
     jit_cov = coverage_create ();
@@ -232,11 +258,13 @@ let jit_arm t =
     t.jit_counts <- Array.make n 0;
     t.jit_cover <- Array.make n [];
     t.jit_nospec <- Bytes.make n '\000';
+    t.jit_pre <- Array.make n jit_unlowered;
     t.jit_on <- true
   end
 
 let jit_invalidate t a =
-  if a < Array.length t.jit_cover then
+  if a < Array.length t.jit_cover then begin
+    t.jit_pre.(a) <- jit_unlowered;
     match t.jit_cover.(a) with
     | [] -> ()
     | entries ->
@@ -247,6 +275,7 @@ let jit_invalidate t a =
             t.jit_counts.(e) <- 0)
           entries;
         t.jit_cover.(a) <- []
+  end
 
 let jit_reset t =
   if t.jit_on then begin
@@ -265,10 +294,11 @@ let fault_plan t = t.plan
 
 let set_profiling t on =
   if on then begin
+    let n = Array.length t.imem in
     t.prof <-
-      { pr_counts = Array.make t.cfg.imem_words 0;
-        pr_stalls = Array.make t.cfg.imem_words 0;
-        pr_shadow = Array.make t.cfg.imem_words 0;
+      { pr_counts = Array.make n 0;
+        pr_stalls = Array.make n 0;
+        pr_shadow = Array.make n 0;
         pr_edges = Hashtbl.create 64;
         pr_shadow_pending = 0;
         pr_other_cycles = 0 };
@@ -307,19 +337,94 @@ let set_pc_chain t (a, b, c) =
 let set_pc t a = set_pc_chain t (a, a + 1, a + 2)
 let set_interrupt t b = t.interrupt_line <- b
 let interrupt_pending t = t.interrupt_line
-let read_code t a = t.imem.(a)
+
+(* Grow [imem] and the arrays indexed like it ([notes], [xcode], and the
+   profiler's per-pc buffers while profiling) to cover address [a], which
+   the caller has checked is below [imem_words]: at least doubling, never
+   past [imem_words].  New slots hold what a never-written word reads as. *)
+let grow_code t a =
+  let n = Array.length t.imem in
+  let m = min t.cfg.imem_words (max (a + 1) (max 64 (2 * n))) in
+  let extend old fill =
+    let b = Array.make m fill in
+    Array.blit old 0 b 0 (Array.length old);
+    b
+  in
+  t.imem <- extend t.imem Word.Nop;
+  t.notes <- extend t.notes Note.plain;
+  t.xcode <- extend t.xcode stale;
+  if t.prof_on then begin
+    let p = t.prof in
+    p.pr_counts <- extend p.pr_counts 0;
+    p.pr_stalls <- extend p.pr_stalls 0;
+    p.pr_shadow <- extend p.pr_shadow 0
+  end
+
+(* Make code address [a] writable: grow below [imem_words], reject above. *)
+let ensure_code t a =
+  if a >= Array.length t.imem then
+    if a < t.cfg.imem_words then grow_code t a else invalid_arg "index out of bounds"
+
+let read_code t a =
+  if a < Array.length t.imem then t.imem.(a)
+  else if a < t.cfg.imem_words then Word.Nop
+  else invalid_arg "index out of bounds"
 
 let write_code t a w =
+  ensure_code t a;
   t.imem.(a) <- w;
   if a >= t.code_hi then t.code_hi <- a + 1;
   t.xcode.(a) <- stale;
   if t.jit_on then jit_invalidate t a
-let read_note t a = t.notes.(a)
+
+let read_note t a =
+  if a < Array.length t.notes then t.notes.(a)
+  else if a < t.cfg.imem_words then Note.plain
+  else invalid_arg "index out of bounds"
+
 let write_note t a n =
+  ensure_code t a;
   t.notes.(a) <- n;
   if t.jit_on then jit_invalidate t a
-let read_data t a = t.dmem.(a)
-let write_data t a v = t.dmem.(a) <- Word32.norm v
+
+(* Physical data words.  [load_data] and [store_data] take an index the
+   caller has bounds-checked against [dmem_words].  [store_data] is every
+   engine's only way to write data memory and the only place that tests
+   for [zero_chunk]; a zero stored there already reads back as zero, so it
+   leaves the chunk shared. *)
+let[@inline] load_data t p =
+  Array.unsafe_get (Array.unsafe_get t.dmem (p lsr data_chunk_bits)) (p land chunk_mask)
+
+let[@inline never] store_fresh t p v =
+  if v <> 0 then begin
+    let ci = p lsr data_chunk_bits in
+    let base = ci lsl data_chunk_bits in
+    let c = Array.make (min data_chunk_words (t.cfg.dmem_words - base)) 0 in
+    t.dmem.(ci) <- c;
+    c.(p land chunk_mask) <- v
+  end
+
+let[@inline] store_data t p v =
+  let c = Array.unsafe_get t.dmem (p lsr data_chunk_bits) in
+  if c != zero_chunk then Array.unsafe_set c (p land chunk_mask) v
+  else store_fresh t p v
+
+let[@inline] store_byte t p lane v =
+  store_data t p (Word32.set_byte (load_data t p) lane v)
+
+let check_data t a =
+  if a < 0 || a >= t.cfg.dmem_words then invalid_arg "index out of bounds"
+
+let read_data t a =
+  check_data t a;
+  load_data t a
+
+let write_data t a v =
+  check_data t a;
+  store_data t a (Word32.norm v)
+
+let reset_data t = Array.fill t.dmem 0 (Array.length t.dmem) zero_chunk
+let data_chunk_materialized t ci = t.dmem.(ci) != zero_chunk
 let faulted t = t.fault
 
 (* The mutable execution state that is not reachable through the public
@@ -378,12 +483,13 @@ let faulted_addr t =
   | Some (Segment_violation _ | Transient_ref) | None -> None
 
 let load_program ?(at = 0) ?(data_at = 0) t (p : Program.t) =
+  ensure_code t (at + max (Array.length p.code) (Array.length p.notes) - 1);
   Array.blit p.code 0 t.imem at (Array.length p.code);
   Array.fill t.xcode at (Array.length p.code) stale;
   t.code_hi <- max t.code_hi (at + Array.length p.code);
   jit_reset t;
   Array.blit p.notes 0 t.notes at (Array.length p.notes);
-  List.iter (fun (a, v) -> t.dmem.(data_at + a) <- Word32.norm v) p.data;
+  List.iter (fun (a, v) -> write_data t (data_at + a) v) p.data;
   set_pc t (at + p.entry)
 
 (* ---------------------------------------------------------------------- *)
@@ -407,6 +513,13 @@ let translate_word t space ~write vaddr =
       with Pagemap.Fault (sp, ga) ->
         t.fault <- Some (Missing_page (sp, ga));
         raise (Fault (Cause.Page_fault, 0)))
+
+(* A fetch at or past the end of [imem]: outside [imem_words] it is the
+   address fault; inside, the word was never written and the arrays grow
+   to cover it (it executes as [Nop]). *)
+let fetch_beyond t phys =
+  if phys < 0 || phys >= t.cfg.imem_words then raise (Fault (Cause.Illegal, 0))
+  else grow_code t phys
 
 let operand_value t = function
   | Operand.R r -> t.regs.(Reg.to_int r)
@@ -476,8 +589,8 @@ let compute_mem t note m =
       let phys, lane = resolve t ~write:false ~width addr in
       let v =
         match lane with
-        | None -> t.dmem.(phys)
-        | Some i -> Word32.get_byte t.dmem.(phys) i
+        | None -> load_data t phys
+        | Some i -> Word32.get_byte (load_data t phys) i
       in
       ignore note;
       Load_result (Reg.to_int d, v, phys, lane <> None)
@@ -635,7 +748,7 @@ let apply_injection t inj =
       t.regs.(r) <- Word32.norm (t.regs.(r) lxor (1 lsl (bit land 31)))
   | Mips_fault.Plan.Flip_data { word; bit } ->
       let w = word mod t.cfg.dmem_words in
-      t.dmem.(w) <- Word32.norm (t.dmem.(w) lxor (1 lsl (bit land 31)))
+      write_data t w (read_data t w lxor (1 lsl (bit land 31)))
   | Mips_fault.Plan.Spurious_interrupt -> t.interrupt_line <- true
   | Mips_fault.Plan.Drop_page { pick } ->
       ignore (Pagemap.drop_clean t.pagemap ~pick)
@@ -708,8 +821,8 @@ let step_core t =
     let seq_epcs = (t.p0, t.p1, t.p2) in
     match
       let fetch_phys = translate_word t Pagemap.Ispace ~write:false t.p0 in
-      if fetch_phys < 0 || fetch_phys >= t.cfg.imem_words then
-        raise (Fault (Cause.Illegal, 0));
+      if fetch_phys < 0 || fetch_phys >= Array.length t.imem then
+        fetch_beyond t fetch_phys;
       let word = t.imem.(fetch_phys) in
       let note = t.notes.(fetch_phys) in
       if t.prof_on then t.prof_fetch <- fetch_phys;
@@ -790,8 +903,8 @@ let step_core t =
         (match mem_eff with
         | Some (Store_commit (phys, lane, v)) ->
             (match lane with
-            | None -> t.dmem.(phys) <- v
-            | Some i -> t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) i v);
+            | None -> store_data t phys v
+            | Some i -> store_byte t phys i v);
             Stats.count_ref t.stats ~load:false note;
             if t.trace_on then
               Mips_obs.Sink.emit t.trace
@@ -1192,11 +1305,10 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
     (* commit phase: store, then the pending load, then alu, then load *)
     (match mx with
     | MXstore_w _ ->
-        t.dmem.(t.sc_a) <- t.sc_b;
+        store_data t t.sc_a t.sc_b;
         Stats.count_ref t.stats ~load:false t.notes.(at)
     | MXstore_b _ ->
-        let phys = t.sc_a lsr 2 and lane = t.sc_a land 3 in
-        t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) lane t.sc_b;
+        store_byte t (t.sc_a lsr 2) (t.sc_a land 3) t.sc_b;
         Stats.count_ref t.stats ~load:false t.notes.(at)
     | MXnone | MXlimm _ | MXload_w _ | MXload_b _ -> ());
     commit_pending t;
@@ -1209,7 +1321,7 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
     | MXlimm (d, c) -> t.regs.(d) <- c
     | MXload_w (d, _) ->
         Stats.count_ref t.stats ~load:true t.notes.(at);
-        let v = t.dmem.(t.sc_a) in
+        let v = load_data t t.sc_a in
         if interlock then t.regs.(d) <- v
         else begin
           t.pend_r <- d;
@@ -1217,7 +1329,7 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
         end
     | MXload_b (d, _) ->
         Stats.count_ref t.stats ~load:true t.notes.(at);
-        let v = Word32.get_byte t.dmem.(t.sc_a lsr 2) (t.sc_a land 3) in
+        let v = Word32.get_byte (load_data t (t.sc_a lsr 2)) (t.sc_a land 3) in
         if interlock then t.regs.(d) <- v
         else begin
           t.pend_r <- d;
@@ -1330,7 +1442,7 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
            end);
           Stats.count_ref s ~load:true t.notes.(at);
           t.pend_r <- d;
-          t.pend_v <- t.dmem.(a);
+          t.pend_v <- load_data t a;
           let b = t.p1 and c = t.p2 in
           t.p0 <- b;
           t.p1 <- c;
@@ -1345,7 +1457,7 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
           s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1;
           s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
           s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
-          t.dmem.(a) <- v;
+          store_data t a v;
           Stats.count_ref s ~load:false t.notes.(at);
           (let pr = t.pend_r in
            if pr >= 0 then begin
@@ -1554,7 +1666,7 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
           t.regs.(da) <- v;
           Stats.count_ref s ~load:true t.notes.(at);
           t.pend_r <- dm;
-          t.pend_v <- t.dmem.(a);
+          t.pend_v <- load_data t a;
           let b = t.p1 and c = t.p2 in
           t.p0 <- b;
           t.p1 <- c;
@@ -1572,7 +1684,7 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
           s.Stats.packed_words <- s.Stats.packed_words + 1;
           s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
           s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
-          t.dmem.(a) <- sv;
+          store_data t a sv;
           Stats.count_ref s ~load:false t.notes.(at);
           (let pr = t.pend_r in
            if pr >= 0 then begin
@@ -1601,8 +1713,8 @@ let step_fast_quiet t =
       | Surprise.Kernel, false -> t.p0
       | _ -> translate_word t Pagemap.Ispace ~write:false t.p0
     in
-    if fetch_phys < 0 || fetch_phys >= t.cfg.imem_words then
-      raise (Fault (Cause.Illegal, 0));
+    if fetch_phys < 0 || fetch_phys >= Array.length t.xcode then
+      fetch_beyond t fetch_phys;
     if t.prof_on then t.prof_fetch <- fetch_phys;
     let f = t.xcode.(fetch_phys) in
     let f =

@@ -31,7 +31,13 @@ type config = {
   byte_addressed : bool;
   fetch_overhead_pct : float;  (** used only when [byte_addressed] *)
   imem_words : int;
+      (** instruction address-space size: a fetch at or above it faults
+          (Illegal, detail 0); storage below it is allocated as code is
+          touched *)
   dmem_words : int;
+      (** data address-space size: a reference at or above it faults
+          (Illegal, detail 1); storage below it is allocated per chunk on
+          the first nonzero store *)
 }
 
 val default_config : config
@@ -44,12 +50,13 @@ val interlocked_config : config
 
 (** Guest-profiling buffers; see {!section-profiling} below. *)
 type profile = {
-  pr_counts : int array;
-      (** executed words per physical pc (indexed to [imem_words]) *)
-  pr_stalls : int array;
+  mutable pr_counts : int array;
+      (** executed words per physical pc; as long as [imem], and grown with
+          it *)
+  mutable pr_stalls : int array;
       (** stall cycles charged at pc: load-use at the consumer, interlock
           branch latency at the branch *)
-  pr_shadow : int array;
+  mutable pr_shadow : int array;
       (** executions of pc inside a taken branch's delay shadow *)
   pr_edges : (int * int, int) Hashtbl.t;
       (** (branch pc, target) -> times the branch was taken to target *)
@@ -78,9 +85,19 @@ type t = {
   mutable pend_r : int;
   mutable pend_v : int;
   mutable last_load_writes : Reg.Set.t;  (* interlock-mode stall detection *)
-  imem : int Word.t array;
-  notes : Note.t array;
-  dmem : int array;
+  (* instruction memory and its per-word notes.  [imem_words] bounds the
+     address space; the arrays only cover the code touched so far (loaded,
+     written or fetched) and grow geometrically, so a machine costs memory
+     in proportion to its program.  An address past their length but below
+     [imem_words] reads as [Nop] / [Note.plain]. *)
+  mutable imem : int Word.t array;
+  mutable notes : Note.t array;
+  (* data memory: a table of {!data_chunk_words}-word chunks covering
+     [dmem_words].  A chunk no nonzero store has reached is the shared,
+     read-only zero chunk, so untouched memory costs one table slot.
+     Engines read it by index ({!data_chunk_words}) and write it only
+     through {!store_data}. *)
+  dmem : int array array;
   pagemap : Pagemap.t;
   mutable interrupt_line : bool;
   mutable fault : fault_kind option;
@@ -97,7 +114,7 @@ type t = {
   mutable delay_pending : int;
   (* fast engine: per-word compiled closures, kept in sync with [imem]
      ([stale] marks a slot whose word changed since it was last compiled) *)
-  xcode : (t -> unit) array;
+  mutable xcode : (t -> unit) array;  (* as long as [imem] *)
   (* fast-engine scratch slots: compute-phase results parked here so the
      commit phase can pick them up without allocating effect records *)
   mutable sc_a : int;  (* resolved physical address (byte ops: phys*4+lane) *)
@@ -124,7 +141,9 @@ type t = {
      they were armed; pcs at or above it run on {!step_fast}.  [jit_k] and
      [jit_pv] are fault-recovery scratch: the body index reached and the
      in-flight delayed-load value of the trace being executed.  [jit_cov]
-     counts which engine ran each word of a jit run. *)
+     counts which engine ran each word of a jit run.  [jit_pre] caches each
+     word's {!Predecode.lower} for the trace scanner ({!jit_unlowered}
+     until first scanned, and again after the word is written). *)
   mutable code_hi : int;
   mutable jit_on : bool;
   mutable jit_code : (t -> int -> int) array;
@@ -132,6 +151,7 @@ type t = {
   mutable jit_counts : int array;
   mutable jit_cover : int list array;
   mutable jit_nospec : Bytes.t;
+  mutable jit_pre : Predecode.entry array;
   mutable jit_k : int;
   mutable jit_pv : int;
   jit_cov : coverage;
@@ -239,9 +259,25 @@ val write_code : t -> int -> int Word.t -> unit
 val read_note : t -> int -> Note.t
 val write_note : t -> int -> Note.t -> unit
 val read_data : t -> int -> Word32.t
-(** Physical word read (word index into data memory). *)
+(** Physical word read (word index into data memory).  Raises
+    [Invalid_argument] outside [dmem_words]. *)
 
 val write_data : t -> int -> Word32.t -> unit
+
+val reset_data : t -> unit
+(** Zero all of data memory, returning every chunk to the shared zero
+    chunk (checkpoint restore). *)
+
+val data_chunk_bits : int
+
+val data_chunk_words : int
+(** Words per host-side data-memory chunk, [1 lsl data_chunk_bits] (a
+    constant, unrelated to the guest {!Pagemap}): physical word [p] lives
+    at [dmem.(p lsr data_chunk_bits).(p land (data_chunk_words - 1))]. *)
+
+val data_chunk_materialized : t -> int -> bool
+(** Whether chunk [i] (words [i * data_chunk_words] onwards) has its own
+    storage.  A chunk that has none reads as all zeros. *)
 
 val load_program : ?at:int -> ?data_at:int -> t -> Program.t -> unit
 (** Copy a program image into physical memory ([at] = code origin,
@@ -368,6 +404,16 @@ val translate_word : t -> Pagemap.space -> write:bool -> int -> int
 val data_bounds_check : t -> int -> unit
 (** Raises [Fault (Illegal, 1)] when the physical word is out of range. *)
 
+val store_data : t -> int -> int -> unit
+(** Unchecked physical data write of a normalized word: the index must
+    already be known to lie in [0, dmem_words).  Every store of every
+    engine goes through here: it is where a chunk leaves the shared zero
+    chunk. *)
+
+val store_byte : t -> int -> int -> int -> unit
+(** [store_byte t phys lane v]: replace one byte lane of a word, through
+    {!store_data}. *)
+
 val commit_pending : t -> unit
 (** Land the delayed-load latch ([pend_r]/[pend_v]) into the register file. *)
 
@@ -451,8 +497,12 @@ val jit_arm : t -> unit
 val jit_stale : t -> int -> int
 (** The empty-slot sentinel for [jit_code]; recognized with [==]. *)
 
+val jit_unlowered : Predecode.entry
+(** The not-yet-lowered sentinel of [jit_pre]; recognized with [==]. *)
+
 val jit_invalidate : t -> int -> unit
-(** Discard every compiled trace whose body covers the given address. *)
+(** Discard every compiled trace whose body covers the given address, and
+    the address's cached lowering. *)
 
 val jit_reset : t -> unit
 (** Discard all traces and hotness counters and re-size the tables to

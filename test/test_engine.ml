@@ -572,6 +572,310 @@ let test_report_sims_match_ref () =
       | _ -> Alcotest.failf "unexpected job label %s" label)
     sims
 
+(* --- sparse machine memory at its edges ---------------------------------- *)
+
+(* Instruction memory is allocated as code is touched and data memory one
+   chunk per first nonzero store, behind unchanged address-space bounds.
+   Each case sits on an edge of that scheme — never-written words, chunk
+   boundaries, the top of each address space — and runs on every engine
+   and both addressing modes, against the reference. *)
+module Edge = struct
+  open Mips_isa
+
+  let machines =
+    [ ("word", Cpu.default_config); ("byte", Cpu.byte_addressed_config) ]
+
+  let chunk = Cpu.data_chunk_words
+  let top = Cpu.default_config.Cpu.dmem_words - 1  (* last data word *)
+  let rr i = Operand.reg (Reg.r i)
+  let movi c d = Word.A (Alu.Movi8 (c, Reg.r d))
+  let limm c d = Word.M (Mem.Limm (c, Reg.r d))
+  let add a b d = Word.A (Alu.Binop (Alu.Add, a, b, Reg.r d))
+  let ld w a d = Word.M (Mem.Load (w, a, Reg.r d))
+  let st w s a = Word.M (Mem.Store (w, Reg.r s, a))
+
+  (* the native address of data word [w] (of its byte [lane]) *)
+  let addr (cfg : Cpu.config) ?(lane = 0) w =
+    Mem.Abs (if cfg.Cpu.byte_addressed then (4 * w) + lane else w)
+
+  (* base register [b] plus the loop counter r1, counted in words *)
+  let indexed (cfg : Cpu.config) b =
+    if cfg.Cpu.byte_addressed then Mem.Scaled (Reg.r b, Reg.r 1, 2)
+    else Mem.Idx (Reg.r b, Reg.r 1)
+
+  let exit_with r =
+    [| Word.A (Alu.Mov (rr r, Reg.scratch0)); Word.B (Branch.Trap Monitor.exit_) |]
+
+  (* [pre], then [body] 60 times with r1 counting from 0 (hot enough for
+     the jit to trace it), then exit with r8; placed at [at]. *)
+  let hot_loop ?(at = 0) ?(pre = []) body =
+    let entry = at + List.length pre + 2 in
+    Array.concat
+      [ Array.of_list pre;
+        [| movi 0 1; movi 60 3 |];
+        Array.of_list body;
+        [| add (rr 1) (Operand.imm4 1) 1;
+           Word.B (Branch.Cbr (Cond.Lt, rr 1, rr 3, entry));
+           Word.Nop |];
+        exit_with 8 ]
+
+  let fault_name c d = Some (Printf.sprintf "%s/%d" (Cause.name c) d)
+
+  (* Run [drive engine cpu] on a fresh machine per engine; every engine
+     must leave the reference's final state.  Returns each engine's
+     machine and snapshot, the reference first. *)
+  let across ?plan name cfg drive =
+    List.fold_left
+      (fun acc engine ->
+        let cpu = Cpu.create ~config:cfg () in
+        Option.iter (fun p -> Cpu.set_fault_plan cpu (Plan.make p)) plan;
+        let s = snapshot cpu (drive engine cpu) in
+        (match acc with
+        | (_, r) :: _ -> explain_diff (name ^ "/" ^ Cpu.engine_name engine) 0 r s
+        | [] -> ());
+        acc @ [ (cpu, s) ])
+      [] [ Cpu.Ref; Cpu.Fast; Cpu.Jit ]
+
+  (* the jit machine (last in [across]'s list) ran the loop in traces *)
+  let check_traced name runs =
+    let cpu, _ = List.nth runs 2 in
+    check (name ^ ": jit ran traces") true ((Cpu.coverage cpu).Cpu.trace_words > 100)
+
+  let run_code code engine cpu =
+    Cpu.load_program cpu (Program.make code);
+    Hosted.run ~fuel:1_000_000 ~engine cpu
+end
+
+(* Falling off the end of the loaded code: every never-written word below
+   imem_words executes as a nop, then the fetch at imem_words faults. *)
+let test_run_off_code () =
+  List.iter
+    (fun (m, cfg) ->
+      let runs =
+        Edge.across ("off-end/" ^ m) cfg
+          (Edge.run_code [| Edge.movi 3 1; Edge.movi 4 2 |])
+      in
+      List.iter
+        (fun (cpu, s) ->
+          check (m ^ ": fetch fault at imem_words") true
+            (s.fault = Edge.fault_name Cause.Illegal 0);
+          check_int (m ^ ": words executed") cfg.Cpu.imem_words
+            (Cpu.stats cpu).Stats.words;
+          check_int (m ^ ": nops") (cfg.Cpu.imem_words - 2) (Cpu.stats cpu).Stats.nops)
+        runs)
+    Edge.machines
+
+(* Code written above the code mark once the jit is armed, far past the
+   loaded program, and then executed. *)
+let test_code_written_above_mark () =
+  let open Mips_isa in
+  List.iter
+    (fun (m, cfg) ->
+      let high = 5000 in
+      let drive engine cpu =
+        let first =
+          Edge.run_code (Edge.hot_loop [ Edge.add (Edge.rr 8) (Operand.imm4 1) 8 ]) engine cpu
+        in
+        check (m ^ ": first run exits 60") true (first.Hosted.exit_status = Some 60);
+        Array.iteri
+          (fun i w -> Cpu.write_code cpu (high + i) w)
+          (Edge.hot_loop ~at:high [ Edge.add (Edge.rr 8) (Operand.imm4 3) 8 ]);
+        Cpu.set_pc cpu high;
+        Hosted.run ~fuel:1_000_000 ~engine cpu
+      in
+      List.iter
+        (fun ((cpu : Cpu.t), s) ->
+          check (m ^ ": second run exits 240") true (s.exit_status = Some 240);
+          check (m ^ ": imem covers the high code") true
+            (Array.length cpu.Cpu.imem > high))
+        (Edge.across ("above-mark/" ^ m) cfg drive))
+    Edge.machines
+
+(* Loads of never-written words, up to the last data word, read zero and
+   leave their chunks shared. *)
+let test_load_unwritten () =
+  let open Mips_isa in
+  List.iter
+    (fun (m, cfg) ->
+      let byte = cfg.Cpu.byte_addressed in
+      let body =
+        [ Edge.ld Mem.W32 (Edge.addr cfg Edge.top) 5;
+          Edge.ld Mem.W32 (Edge.addr cfg ((7 * Edge.chunk) + 1)) 6;
+          Edge.st Mem.W32 1 (Edge.addr cfg 100);
+          Edge.add (Edge.rr 8) (Edge.rr 5) 8;
+          Edge.add (Edge.rr 8) (Edge.rr 6) 8 ]
+        @
+        if byte then
+          [ Edge.ld Mem.W8 (Edge.addr cfg ~lane:3 Edge.top) 7;
+            Word.Nop;
+            Edge.add (Edge.rr 8) (Edge.rr 7) 8 ]
+        else []
+      in
+      List.iter
+        (fun (cpu, s) ->
+          check (m ^ ": loads read zero") true (s.exit_status = Some 0);
+          check_int (m ^ ": the store landed") 59 (Cpu.read_data cpu 100);
+          check_int (m ^ ": top word") 0 (Cpu.read_data cpu Edge.top);
+          check (m ^ ": loaded chunks stay shared") false
+            (Cpu.data_chunk_materialized cpu (Edge.top / Edge.chunk)
+            || Cpu.data_chunk_materialized cpu 7))
+        (let runs = Edge.across ("load-unwritten/" ^ m) cfg (Edge.run_code (Edge.hot_loop body)) in
+         Edge.check_traced m runs;
+         runs))
+    Edge.machines
+
+(* Word and byte stores at the first and last word of a chunk and at the
+   top of data memory.  The first iteration stores zeros, which leave a
+   chunk shared; the later ones materialize it. *)
+let test_store_chunk_edges () =
+  let open Mips_isa in
+  List.iter
+    (fun (m, cfg) ->
+      let byte = cfg.Cpu.byte_addressed in
+      let first = 5 * Edge.chunk and last = (6 * Edge.chunk) - 1 in
+      let body =
+        [ Edge.st Mem.W32 1 (Edge.addr cfg first);
+          Edge.st Mem.W32 1 (Edge.addr cfg last);
+          Edge.st Mem.W32 1 (Edge.addr cfg Edge.top);
+          Edge.ld Mem.W32 (Edge.addr cfg last) 5;
+          Word.Nop;
+          Edge.add (Edge.rr 8) (Edge.rr 5) 8 ]
+        @
+        if byte then
+          [ Edge.st Mem.W8 1 (Edge.addr cfg ~lane:3 first);
+            Edge.st Mem.W8 1 (Edge.addr cfg ~lane:0 (last + 1));
+            Edge.st Mem.W8 1 (Edge.addr cfg ~lane:3 Edge.top) ]
+        else []
+      in
+      List.iter
+        (fun (cpu, s) ->
+          check (m ^ ": reloads see the stores") true
+            (s.exit_status = Some (59 * 60 / 2));
+          check_int (m ^ ": last word of the chunk") 59 (Cpu.read_data cpu last);
+          check_int (m ^ ": word before the chunk") 0 (Cpu.read_data cpu (first - 1));
+          if byte then begin
+            check_int (m ^ ": first word of the chunk, lane 3") 59
+              (Word32.get_byte (Cpu.read_data cpu first) 3);
+            check_int (m ^ ": first word of the next chunk, lane 0") 59
+              (Word32.get_byte (Cpu.read_data cpu (last + 1)) 0)
+          end
+          else begin
+            check_int (m ^ ": first word of the chunk") 59 (Cpu.read_data cpu first);
+            check_int (m ^ ": first word of the next chunk") 0
+              (Cpu.read_data cpu (last + 1))
+          end;
+          check (m ^ ": stored chunks materialized") true
+            (Cpu.data_chunk_materialized cpu 5
+            && Cpu.data_chunk_materialized cpu (Edge.top / Edge.chunk));
+          check (m ^ ": untouched chunk shared") false
+            (Cpu.data_chunk_materialized cpu 4))
+        (let runs = Edge.across ("store-edges/" ^ m) cfg (Edge.run_code (Edge.hot_loop body)) in
+         Edge.check_traced m runs;
+         runs))
+    Edge.machines
+
+(* A data-flip fault lands in memory no store has touched: it must flip
+   that machine's word and nobody else's. *)
+let test_flip_untouched () =
+  let plan =
+    { Plan.quiet with Plan.seed = 11; flip_data_rate = 1.0; max_injections = 2 }
+  in
+  List.iter
+    (fun (m, cfg) ->
+      let code = Array.append [| Edge.movi 3 1; Edge.movi 4 2 |] (Edge.exit_with 1) in
+      List.iter
+        (fun (cpu, _) ->
+          let flipped = ref [] in
+          for w = (Cpu.config cpu).Cpu.dmem_words - 1 downto 0 do
+            let v = Cpu.read_data cpu w in
+            if v <> 0 then flipped := (w, v) :: !flipped
+          done;
+          check_int (m ^ ": two words flipped") 2 (List.length !flipped);
+          List.iter
+            (fun (w, v) ->
+              check (m ^ ": one bit set") true (v land (v - 1) = 0);
+              check (m ^ ": its chunk materialized") true
+                (Cpu.data_chunk_materialized cpu (w / Edge.chunk));
+              check_int (m ^ ": a fresh machine still reads zero") 0
+                (Cpu.read_data (Cpu.create ~config:cfg ()) w))
+            !flipped)
+        (Edge.across ~plan ("flip/" ^ m) cfg (Edge.run_code code)))
+    Edge.machines
+
+(* Out-of-range fetches, loads and stores fault with the same cause and
+   detail on every engine, including inside a hot loop that walks off the
+   top of data memory. *)
+let test_out_of_range_faults () =
+  let open Mips_isa in
+  let top_words = Cpu.default_config.Cpu.dmem_words in
+  List.iter
+    (fun (m, cfg) ->
+      let native w = if cfg.Cpu.byte_addressed then 4 * w else w in
+      let cases =
+        [ ( "fetch at imem_words",
+            Array.append
+              [| Edge.limm cfg.Cpu.imem_words 4;
+                 Word.B (Branch.Jind (Reg.r 4));
+                 Word.Nop;
+                 Word.Nop |]
+              (Edge.exit_with 1),
+            Cause.Illegal, 0 );
+          ( "fetch below zero",
+            [| Edge.limm (-1) 4; Word.B (Branch.Jind (Reg.r 4)); Word.Nop; Word.Nop |],
+            Cause.Illegal, 0 );
+          ( "load walking off the top",
+            Edge.hot_loop ~pre:[ Edge.limm (native (top_words - 40)) 4 ]
+              [ Edge.ld Mem.W32 (Edge.indexed cfg 4) 5;
+                Edge.add (Edge.rr 8) (Edge.rr 5) 8 ],
+            Cause.Illegal, 1 );
+          ( "store walking off the top",
+            Edge.hot_loop ~pre:[ Edge.limm (native (top_words - 40)) 4 ]
+              [ Edge.st Mem.W32 1 (Edge.indexed cfg 4);
+                Edge.add (Edge.rr 8) (Edge.rr 1) 8 ],
+            Cause.Illegal, 1 );
+          ( "load below zero",
+            Array.append [| Edge.ld Mem.W32 (Edge.addr cfg (-1)) 5 |] (Edge.exit_with 1),
+            Cause.Illegal, 1 );
+          ( "store at dmem_words",
+            Array.append
+              [| Edge.st Mem.W32 1 (Edge.addr cfg top_words) |]
+              (Edge.exit_with 1),
+            Cause.Illegal, 1 ) ]
+      in
+      List.iter
+        (fun (name, code, cause, detail) ->
+          let name = m ^ ": " ^ name in
+          List.iter
+            (fun (_, s) ->
+              check (name ^ " faults as " ^ Cause.name cause) true
+                (s.fault = Edge.fault_name cause detail))
+            (Edge.across name cfg (Edge.run_code code)))
+        cases)
+    Edge.machines
+
+(* A machine costs memory in proportion to what it touches: creating one,
+   under either addressing mode, allocates about 1.3K words, not the 448K
+   words of fully backed 64K-word instruction and 256K-word data memories.
+   [Gc.minor_words] counts young allocation exactly and [Gc.counters] the
+   blocks allocated straight into the major heap; [Gc.quick_stat]'s
+   counters only catch up at a collection, so a 1K-word array can read as
+   nothing there. *)
+let test_create_allocation () =
+  let allocated f =
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    ignore (Sys.opaque_identity (f ()));
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  (* the meter itself must see a major-heap block *)
+  check "meter sees a 1000-word array" true (allocated (fun () -> Array.make 1000 0) >= 1000);
+  List.iter
+    (fun (m, config) ->
+      let words = allocated (fun () -> Cpu.create ~config ()) in
+      if words >= 16 * 1024 then
+        Alcotest.failf "%s: Cpu.create allocated %d words (limit 16K)" m words)
+    Edge.machines
+
 let suite =
   [ ( "engine:differential",
       [ tc_slow "56 seeds x 4 variants, all engines" test_differential;
@@ -583,4 +887,12 @@ let suite =
         tc "jit: trace tables follow the code mark" test_jit_code_mark;
         tc "jit: corpus x word/byte equals reference" test_corpus_jit_vs_ref;
         tc "jit: hand-built byte loops equal reference" test_byte_hand_loops;
-        tc "jit: report sim jobs equal reference" test_report_sims_match_ref ] ) ]
+        tc "jit: report sim jobs equal reference" test_report_sims_match_ref ] );
+    ( "engine:memory",
+      [ tc "running off the end of loaded code" test_run_off_code;
+        tc "code written above the mark after arming" test_code_written_above_mark;
+        tc "loads of never-written words" test_load_unwritten;
+        tc "stores at chunk edges" test_store_chunk_edges;
+        tc "data flip into an untouched chunk" test_flip_untouched;
+        tc "out-of-range fetch, load and store faults" test_out_of_range_faults;
+        tc "Cpu.create allocates under 16K words" test_create_allocation ] ) ]

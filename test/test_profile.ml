@@ -223,6 +223,26 @@ let test_map_spans () =
   let zs = Mips_par.map_spans ~jobs:2 ~tracer:Span.no_tracer ~name:string_of_int f xs in
   Alcotest.(check (list int)) "no_tracer path" (List.map f xs) zs
 
+(* The per-pc buffers grow with instruction memory: armed on an empty
+   machine, they follow the program load and then a run off the end of
+   the code, through never-written words up to the fetch fault at
+   imem_words, and still reconcile. *)
+let test_buffers_follow_imem () =
+  let open Mips_isa in
+  let code = [| Word.A (Alu.Movi8 (3, Reg.r 1)); Word.A (Alu.Movi8 (4, Reg.r 2)) |] in
+  List.iter
+    (fun engine ->
+      let cpu, _ = run_profiled ~engine (Mips_machine.Program.make code, "") in
+      let name = "off-end/" ^ Cpu.engine_name engine in
+      let p = Option.get (Cpu.profile cpu) in
+      checki (name ^ ": buffers as long as imem") (Array.length cpu.Cpu.imem)
+        (Array.length p.Cpu.pr_counts);
+      checki (name ^ ": every word below imem_words ran once")
+        Cpu.default_config.Cpu.imem_words
+        (Array.fold_left ( + ) 0 p.Cpu.pr_counts);
+      check_reconciles name cpu (Profile.capture ~program:name cpu))
+    [ Cpu.Ref; Cpu.Fast ]
+
 let suite =
   [
     ( "profile",
@@ -243,5 +263,6 @@ let suite =
           test_folded_format;
         Alcotest.test_case "speedscope format" `Quick test_speedscope_format;
         Alcotest.test_case "map_spans lanes" `Quick test_map_spans;
+        Alcotest.test_case "buffers follow imem" `Quick test_buffers_follow_imem;
       ] );
   ]
